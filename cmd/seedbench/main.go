@@ -13,12 +13,11 @@
 // storage engine's group-commit pipeline, E7 the snapshot-read/check-in
 // concurrency engine, E8 the copy-on-write snapshot generations plus the
 // class-indexed query path beyond the paper, E9 the concurrent
-// lock-scoped check-in path against the old serialized write gate, E10
-// the pipelined v2 wire protocol with server-side queries, E11 the
-// follower-replication read scale-out with its lag and convergence
-// differential, E12 the columnar item store against the map-backed
-// ablation, E13 the attribute indexes and cost-based planner against the
-// forced linear scan, and E14 the production-hardening fault harness
+// lock-scoped check-in path, E10 the pipelined v2 wire protocol with
+// server-side queries, E11 the follower-replication read scale-out with
+// its lag and convergence differential, E12 the columnar item store, E13
+// the attribute indexes and cost-based planner against the forced linear
+// scan, and E14 the production-hardening fault harness
 // (overload shedding, chaos clients, graceful drain). With -json, the
 // machine-readable data of the selected measurement experiment (e8, or
 // e9/e10/e11/e12/e13/e14 when selected with -exp)
@@ -48,10 +47,10 @@ var experiments = []struct {
 	{"e6", "storage: group commit vs per-record fsync", bench.E6},
 	{"e7", "concurrency: parallel snapshot reads vs serialized check-ins", bench.E7},
 	{"e8", "snapshots: COW generations and the class-indexed read path", nil},     // wired in main
-	{"e9", "check-ins: lock-scoped concurrency vs the global write gate", nil},    // wired in main
+	{"e9", "check-ins: lock-scoped concurrency and writer scaling", nil},          // wired in main
 	{"e10", "wire v2: pipelined frames and server-side queries", nil},             // wired in main
 	{"e11", "replication: follower read scale-out, lag, convergence", nil},        // wired in main
-	{"e12", "columnar store: bytes/item, freeze and query latency vs map", nil},   // wired in main
+	{"e12", "columnar store: bytes/item, freeze and query latency", nil},          // wired in main
 	{"e13", "planner: attribute-indexed predicates vs forced linear scan", nil},   // wired in main
 	{"e14", "hardening: overload shedding, fault injection, graceful drain", nil}, // wired in main
 }

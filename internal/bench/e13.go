@@ -66,7 +66,7 @@ type E13Data struct {
 	Sizes      []E13SizeStats `json:"sizes"`
 }
 
-// buildPredicateDB populates a columnar database of n objects where exactly
+// buildPredicateDB populates a database of n objects where exactly
 // hits Data objects carry the needle Description and a Revised date at or
 // after the range cut; every other object carries hay values. The dataset
 // has no patterns or inheritance, so the user view splices nothing virtual
@@ -75,9 +75,6 @@ type E13Data struct {
 // path at full scale rather than the bulk build.
 func buildPredicateDB(n, hits int) *seed.Database {
 	db := mustDB()
-	if err := db.SetColumnarStore(true); err != nil {
-		panic(err)
-	}
 	if err := db.CreateAttrIndex("Data", "Description", seed.AttrHash); err != nil {
 		panic(err)
 	}

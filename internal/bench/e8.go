@@ -12,20 +12,25 @@ import (
 
 // E8 measures the copy-on-write snapshot generations and the read-path
 // class index (DESIGN.md section 7): the latency of the first retrieval
-// after a small commit — which freezes the new snapshot generation — with
-// incremental COW patching versus the pre-COW rebuild-from-scratch baseline
-// (ablation A3), and the latency of a by-class selection through the class
-// index versus the full object scan, across several database sizes. The
-// numbers are reported (and exported as BENCH_E8.json by cmd/seedbench);
-// CI only gates that the mechanisms work and help at all, because absolute
-// wall-clock ratios flake across machines.
+// after a small commit — which freezes the new snapshot generation — and
+// the latency of a by-class selection through the class index versus the
+// full object scan, across several database sizes. The numbers are
+// reported (and exported as BENCH_E8.json by cmd/seedbench). The
+// rebuild-from-scratch baseline (ablation A3) is retired; the COW gate reads
+// its committed number instead (e8RebuildFirstReadNanos).
+
+// e8RebuildFirstReadNanos is the committed pre-COW baseline: the median
+// first read after a commit with every freeze rebuilt from scratch, at 1,000
+// objects (BENCH_E8.json, sizes[0].first_read_rebuild_ns). A COW first read
+// at any measured size must beat it.
+const e8RebuildFirstReadNanos = 853679
 
 // ChurnWorkload sizes the E8 commit/read churn measurement.
 type ChurnWorkload struct {
 	Sizes     []int // total independent objects per measured database
 	QueryHits int   // objects of the queried class (fixed, so latency is comparable across sizes)
 	CommitOps int   // operations per commit batch ("small commit")
-	Commits   int   // measured commit -> first-read cycles per snapshot mode
+	Commits   int   // measured commit -> first-read cycles
 	QueryReps int   // repetitions of each query measurement
 }
 
@@ -43,9 +48,7 @@ var ShortChurnWorkload = ChurnWorkload{
 type E8SizeStats struct {
 	Objects               int     `json:"objects"`
 	FirstReadCOWNanos     int64   `json:"first_read_cow_ns"`      // median over Commits
-	FirstReadCOWMeanNanos int64   `json:"first_read_cow_mean_ns"` // mean (includes chain-collapse rebuilds)
-	FirstReadRebuildNanos int64   `json:"first_read_rebuild_ns"`  // median, COW disabled
-	FirstReadSpeedup      float64 `json:"first_read_speedup"`     // rebuild / cow, medians
+	FirstReadCOWMeanNanos int64   `json:"first_read_cow_mean_ns"` // mean
 	QueryIndexedNanos     int64   `json:"query_by_class_indexed_ns"`
 	QueryScanNanos        int64   `json:"query_by_class_scan_ns"`
 	QuerySpeedup          float64 `json:"query_by_class_speedup"`
@@ -102,16 +105,18 @@ func measureChurn(db *seed.Database, targets []seed.ID, w ChurnWorkload, rng *ra
 	_ = db.View() // warm: the pre-churn generation is frozen and cached
 	out := make([]time.Duration, 0, w.Commits)
 	for c := 0; c < w.Commits; c++ {
-		if err := db.Begin(); err != nil {
+		tx, err := db.BeginTx()
+		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < w.CommitOps; i++ {
 			t := targets[rng.Intn(len(targets))]
-			if err := db.SetValue(t, seed.NewString(fmt.Sprintf("v%d-%d", c, i))); err != nil {
+			if err := tx.SetValue(t, seed.NewString(fmt.Sprintf("v%d-%d", c, i))); err != nil {
+				_ = tx.Rollback()
 				return nil, err
 			}
 		}
-		if err := db.Commit(); err != nil {
+		if err := tx.Commit(); err != nil {
 			return nil, err
 		}
 		start := time.Now()
@@ -171,7 +176,7 @@ func E8Stats(w ChurnWorkload) (*Result, *E8Data) {
 		CommitOps:  w.CommitOps,
 		Commits:    w.Commits,
 	}
-	r.logf("workload: %d-op commits, %d cycles per mode, %d-hit by-class query x%d",
+	r.logf("workload: %d-op commits, %d cycles, %d-hit by-class query x%d",
 		w.CommitOps, w.Commits, w.QueryHits, w.QueryReps)
 	for _, n := range w.Sizes {
 		db, targets := buildChurnDB(n, w.QueryHits)
@@ -179,37 +184,27 @@ func E8Stats(w ChurnWorkload) (*Result, *E8Data) {
 
 		cow, err := measureChurn(db, targets, w, rng)
 		if err == nil {
-			db.SetSnapshotCOW(false)
-			var rebuild []time.Duration
-			rebuild, err = measureChurn(db, targets, w, rng)
-			db.SetSnapshotCOW(true)
+			st := E8SizeStats{
+				Objects:               n,
+				FirstReadCOWNanos:     int64(median(cow)),
+				FirstReadCOWMeanNanos: int64(mean(cow)),
+			}
+			v := db.View()
+			var indexed, scanned time.Duration
+			var ihits, shits int
+			indexed, ihits, err = measureQuery(v, w.QueryReps)
 			if err == nil {
-				st := E8SizeStats{
-					Objects:               n,
-					FirstReadCOWNanos:     int64(median(cow)),
-					FirstReadCOWMeanNanos: int64(mean(cow)),
-					FirstReadRebuildNanos: int64(median(rebuild)),
-				}
-				st.FirstReadSpeedup = float64(st.FirstReadRebuildNanos) / float64(st.FirstReadCOWNanos)
-
-				v := db.View()
-				var indexed, scanned time.Duration
-				var ihits, shits int
-				indexed, ihits, err = measureQuery(v, w.QueryReps)
-				if err == nil {
-					scanned, shits, err = measureQuery(scanView{v}, w.QueryReps)
-					st.QueryIndexedNanos = int64(indexed)
-					st.QueryScanNanos = int64(scanned)
-					st.QuerySpeedup = float64(scanned) / float64(indexed)
-					st.QueryHits = ihits
-					r.assert(err == nil && ihits == shits && ihits == w.QueryHits,
-						"%6d objects: by-class query agrees on both paths (%d hits)", n, ihits)
-					r.logf("%6d objects: first read after commit %8v COW (mean %8v) vs %8v rebuild (%.0fx); "+
-						"by-class query %8v indexed vs %8v scan (%.1fx)",
-						n, median(cow), mean(cow), median(rebuild), st.FirstReadSpeedup,
-						indexed, scanned, st.QuerySpeedup)
-					data.Sizes = append(data.Sizes, st)
-				}
+				scanned, shits, err = measureQuery(scanView{v}, w.QueryReps)
+				st.QueryIndexedNanos = int64(indexed)
+				st.QueryScanNanos = int64(scanned)
+				st.QuerySpeedup = float64(scanned) / float64(indexed)
+				st.QueryHits = ihits
+				r.assert(err == nil && ihits == shits && ihits == w.QueryHits,
+					"%6d objects: by-class query agrees on both paths (%d hits)", n, ihits)
+				r.logf("%6d objects: first read after commit %8v COW (mean %8v); "+
+					"by-class query %8v indexed vs %8v scan (%.1fx)",
+					n, median(cow), mean(cow), indexed, scanned, st.QuerySpeedup)
+				data.Sizes = append(data.Sizes, st)
 			}
 		}
 		db.Close()
@@ -219,12 +214,14 @@ func E8Stats(w ChurnWorkload) (*Result, *E8Data) {
 		}
 	}
 	last := data.Sizes[len(data.Sizes)-1]
-	// Wall-clock ratios flake across machines; the measured >=5x COW win and
-	// the flat indexed-query latency are recorded in EXPERIMENTS.md and
-	// BENCH_E8.json, the CI gate only requires any improvement at the
-	// largest size.
-	r.assert(last.FirstReadSpeedup > 1.0,
-		"COW first read faster than rebuild at %d objects (%.0fx)", last.Objects, last.FirstReadSpeedup)
+	// Wall-clock ratios flake across machines; the measured COW win and the
+	// flat indexed-query latency are recorded in EXPERIMENTS.md and
+	// BENCH_E8.json. The gates only require that a COW first read at the
+	// largest size beats the committed rebuild at the smallest, and that
+	// the class index helps at all.
+	r.assert(last.FirstReadCOWNanos < e8RebuildFirstReadNanos,
+		"COW first read at %d objects (%v) faster than the committed rebuild at 1000 objects (%v)",
+		last.Objects, time.Duration(last.FirstReadCOWNanos), time.Duration(e8RebuildFirstReadNanos))
 	r.assert(last.QuerySpeedup > 1.0,
 		"indexed by-class query faster than scan at %d objects (%.1fx)", last.Objects, last.QuerySpeedup)
 	return r, data

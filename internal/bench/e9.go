@@ -13,15 +13,20 @@ import (
 )
 
 // E9 measures the concurrent lock-scoped check-in path (DESIGN.md section
-// 8): check-in throughput against writer count on disjoint lock sets, once
-// with the old serialized global write gate (the baseline the gate's
-// retirement is judged against) and once with concurrent check-ins whose
-// commits coalesce into shared fsyncs in the group-commit write-ahead log.
-// The database is file-backed with SyncGroupCommit, so every check-in pays
-// for real durability — exactly the cost the serialized gate forces each
-// writer to wait out one at a time. Numbers are reported (and exported as
-// BENCH_E9.json by cmd/seedbench); CI only gates that concurrency helps at
-// all, because absolute wall-clock ratios flake across machines.
+// 8): check-in throughput against writer count on disjoint lock sets, with
+// commits coalescing into shared fsyncs in the group-commit write-ahead
+// log. The database is file-backed with SyncGroupCommit, so every check-in
+// pays for real durability. Numbers are reported (and exported as
+// BENCH_E9.json by cmd/seedbench). The serialized global write gate the
+// concurrent path replaced is retired; the gate reads its committed rates
+// instead (e9SerializedPerSec).
+
+// e9SerializedPerSec is the committed serialized-gate baseline: check-ins/s
+// per writer count (BENCH_E9.json, runs with mode "serialized").
+var e9SerializedPerSec = map[int]float64{
+	1: 2680.4375396135165, 2: 3223.710727667913, 4: 3172.836257345195,
+	8: 3522.26017800006, 16: 3164.049287313323,
+}
 
 // CheckinWorkload sizes the E9 writer-scaling measurement.
 type CheckinWorkload struct {
@@ -35,9 +40,9 @@ var DefaultCheckinWorkload = CheckinWorkload{Writers: []int{1, 2, 4, 8, 16}, Che
 // ShortCheckinWorkload keeps the CI smoke run cheap.
 var ShortCheckinWorkload = CheckinWorkload{Writers: []int{1, 2, 4}, CheckinsPer: 12}
 
-// E9RunStats is the machine-readable result of one (mode, writers) cell.
+// E9RunStats is the machine-readable result of one writer-count cell.
 type E9RunStats struct {
-	Mode         string  `json:"mode"` // "serialized" or "concurrent"
+	Mode         string  `json:"mode"` // always "concurrent"
 	Writers      int     `json:"writers"`
 	Checkins     int     `json:"checkins"`
 	ElapsedNanos int64   `json:"elapsed_ns"`
@@ -51,9 +56,6 @@ type E9Data struct {
 	CPUs              int          `json:"cpus"`
 	CheckinsPerWriter int          `json:"checkins_per_writer"`
 	Runs              []E9RunStats `json:"runs"`
-	// SpeedupVsSerialized4W compares concurrent against serialized
-	// throughput at 4 writers — the headline writer-scaling number.
-	SpeedupVsSerialized4W float64 `json:"speedup_vs_serialized_4w"`
 	// ConcurrentScaling4W compares concurrent throughput at 4 writers
 	// against 1 writer: does adding writers add throughput at all?
 	ConcurrentScaling4W float64 `json:"concurrent_scaling_4w"`
@@ -101,14 +103,10 @@ func runCheckinWave(addr string, n, per int) (time.Duration, error) {
 	return elapsed, nil
 }
 
-// measureCheckins runs one (mode, writers) cell against a fresh file-backed
+// measureCheckins runs one writer-count cell against a fresh file-backed
 // database under SyncGroupCommit.
-func measureCheckins(serialized bool, writers, per int) (E9RunStats, error) {
-	mode := "concurrent"
-	if serialized {
-		mode = "serialized"
-	}
-	st := E9RunStats{Mode: mode, Writers: writers, Checkins: writers * per}
+func measureCheckins(writers, per int) (E9RunStats, error) {
+	st := E9RunStats{Mode: "concurrent", Writers: writers, Checkins: writers * per}
 	runtime.GC() // keep earlier experiments' garbage out of this cell
 	dir, err := os.MkdirTemp("", "seed-e9-*")
 	if err != nil {
@@ -130,7 +128,6 @@ func measureCheckins(serialized bool, writers, per int) (E9RunStats, error) {
 		}
 	}
 	srv := server.New(db)
-	srv.SetSerializedCheckins(serialized)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return st, err
@@ -157,10 +154,10 @@ func E9() *Result {
 	return r
 }
 
-// E9Stats sweeps writer counts in both modes and returns the report plus
-// the machine-readable data.
+// E9Stats sweeps writer counts and returns the report plus the
+// machine-readable data.
 func E9Stats(w CheckinWorkload) (*Result, *E9Data) {
-	r := &Result{Name: "E9: check-ins — lock-scoped concurrency vs the global write gate"}
+	r := &Result{Name: "E9: check-ins — lock-scoped concurrency and writer scaling"}
 	data := &E9Data{
 		Experiment:        "E9",
 		GoVersion:         runtime.Version(),
@@ -169,43 +166,44 @@ func E9Stats(w CheckinWorkload) (*Result, *E9Data) {
 	}
 	r.logf("workload: %d check-ins per writer, disjoint lock sets, file-backed, group-committed fsync per check-in",
 		w.CheckinsPer)
-	tp := map[string]map[int]float64{"serialized": {}, "concurrent": {}}
-	for _, serialized := range []bool{true, false} {
-		for _, n := range w.Writers {
-			st, err := measureCheckins(serialized, n, w.CheckinsPer)
-			if err != nil {
-				r.assert(false, "%s, %d writers: %v", st.Mode, n, err)
-				return r, data
-			}
-			data.Runs = append(data.Runs, st)
-			tp[st.Mode][n] = st.Throughput
-			r.logf("%-10s %d writers: %4d check-ins in %8v (%6.0f/s)",
-				st.Mode, n, st.Checkins, time.Duration(st.ElapsedNanos).Round(time.Millisecond), st.Throughput)
+	tp := map[int]float64{}
+	for _, n := range w.Writers {
+		st, err := measureCheckins(n, w.CheckinsPer)
+		if err != nil {
+			r.assert(false, "%d writers: %v", n, err)
+			return r, data
 		}
+		data.Runs = append(data.Runs, st)
+		tp[n] = st.Throughput
+		r.logf("%d writers: %4d check-ins in %8v (%6.0f/s)",
+			n, st.Checkins, time.Duration(st.ElapsedNanos).Round(time.Millisecond), st.Throughput)
 	}
 	maxW := w.Writers[len(w.Writers)-1]
 	pivot := 4
-	if tp["concurrent"][pivot] == 0 {
+	if tp[pivot] == 0 {
 		pivot = maxW
 	}
-	data.SpeedupVsSerialized4W = tp["concurrent"][pivot] / tp["serialized"][pivot]
-	data.ConcurrentScaling4W = tp["concurrent"][pivot] / tp["concurrent"][w.Writers[0]]
-	r.logf("at %d writers: concurrent %.1fx over the serialized gate; %.1fx over 1 concurrent writer",
-		pivot, data.SpeedupVsSerialized4W, data.ConcurrentScaling4W)
-	if maxW != pivot {
-		r.logf("at %d writers: concurrent %.1fx over the serialized gate",
-			maxW, tp["concurrent"][maxW]/tp["serialized"][maxW])
+	data.ConcurrentScaling4W = tp[pivot] / tp[w.Writers[0]]
+	r.logf("at %d writers: %.1fx over 1 concurrent writer", pivot, data.ConcurrentScaling4W)
+	// The measured writer scaling is recorded in EXPERIMENTS.md and
+	// BENCH_E9.json. Wall-clock ratios are reported, not gated — on a noisy
+	// container the rate at a single width jitters across runs — so the
+	// in-repo assertion only rejects a catastrophic regression: concurrent
+	// check-ins at full width must stay within noise of the committed
+	// serialized-gate rate at that width. That rate was measured on an
+	// uninstrumented build, so a race-detector build (several times
+	// slower per check-in) reports the comparison without gating on it.
+	serial, ok := e9SerializedPerSec[maxW]
+	r.assert(ok, "committed serialized-gate rate exists for %d writers", maxW)
+	switch {
+	case !ok:
+	case raceDetector:
+		r.logf("race detector on: not gating %d writers (%.0f/s) against the committed serialized gate (%.0f/s)",
+			maxW, tp[maxW], serial)
+	default:
+		r.assert(tp[maxW] >= 0.7*serial,
+			"concurrent check-ins at %d writers (%.0f/s) >= 0.7x the committed serialized gate (%.0f/s)",
+			maxW, tp[maxW], serial)
 	}
-	// The measured writer scaling (≥2x over the gate at high writer
-	// counts; the 4-writer ratio grows with fsync latency) is recorded in
-	// EXPERIMENTS.md and BENCH_E9.json. Wall-clock ratios are reported,
-	// not gated — on a noisy 1-CPU container the concurrent/serialized
-	// ratio at a single width jitters across runs — so the in-repo
-	// assertion only rejects a catastrophic regression: retiring the gate
-	// must never cost meaningful throughput at full width.
-	floor := 0.7 * tp["serialized"][maxW]
-	r.assert(tp["concurrent"][maxW] >= floor,
-		"concurrent check-ins at %d writers within noise of or above the serialized gate (%.1fx)",
-		maxW, tp["concurrent"][maxW]/tp["serialized"][maxW])
 	return r, data
 }

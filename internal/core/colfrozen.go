@@ -9,11 +9,10 @@ import (
 	"repro/internal/schema"
 )
 
-// Frozen generations of the columnar store. Where the map store layers
-// map-patch overlays and collapses chains, the columnar store versions its
-// row and adjacency arrays as chunked verArrs (verarr.go) and the live state
-// itself is the builders of the next generation: freezing seals the builders
-// — no row is copied, every untouched 1024-entry chunk is shared with the
+// Frozen generations of the columnar store. The store versions its row and
+// adjacency arrays as chunked verArrs (verarr.go) and the live state itself
+// is the builders of the next generation: freezing seals the builders — no
+// row is copied, every untouched 1024-entry chunk is shared with the
 // previous generation structurally — and restarts them over the sealed
 // arrays. There is no chain to walk, no depth bound, and no collapse step;
 // every generation is self-contained and costs O(delta + chunk table).
@@ -48,8 +47,7 @@ type colFrozen struct {
 	// Name indexes, maintained per generation like the class index.
 	// nameStrs is a snapshot of the symbol table's published string array
 	// (append-only, entries immutable), so probes resolve symbols without
-	// the RWMutex round trip SymTab.Lookup pays per call — the 1.5x
-	// by-name gap vs the map ablation E12 measured. byName is the ordered
+	// the RWMutex round trip SymTab.Lookup pays per call. byName is the ordered
 	// name index — every interned name symbol sorted by its string; the
 	// query planner ranges over it for prefix name globs — and nameHash is
 	// an open-addressed point-lookup table over the same symbols. Both may
@@ -98,14 +96,8 @@ func nameHashInsert(tab []item.Sym, strs []string, s item.Sym) {
 // representation. Unstaged freezes seal the live builders; staged freezes
 // patch the dirty committed items over the previous generation instead (a
 // nil base cannot coincide with staged changes because BeginTx pins a
-// snapshot first). cowOff is the ablation: a deep, share-nothing rebuild on
-// every freeze.
-func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOff, staged bool) frozen {
-	if cowOff && !staged {
-		f := cs.fullFreeze(sch)
-		cs.lastFrozen = f
-		return f
-	}
+// snapshot first).
+func (cs *colStore) freezeView(sch *schema.Schema, dirty map[item.ID]bool, staged bool) frozen {
 	prev := cs.lastFrozen
 	if prev != nil && len(dirty) == 0 && prev.sch == sch {
 		return prev
@@ -180,7 +172,7 @@ func (cs *colStore) scanIndexes(f *colFrozen) {
 		sortIDs(ids)
 	}
 	cs.scanNameIndex(f)
-	f.attrs = buildAttrs(cs.attrSpecs, f, colAttrPostings)
+	f.attrs = buildAttrs(cs.attrSpecs, f)
 }
 
 // scanNameIndex builds the name indexes from the full symbol table.
@@ -239,11 +231,7 @@ func (cs *colStore) patchNameIndex(f, prev *colFrozen) {
 // colAttrPostings is the columnar-native posting walk: role symbols resolve
 // once per path, the frontier runs over the frozen kid lists, and leaf
 // values decode straight off the rows — no item.Object materialization.
-func colAttrPostings(v frozen, root item.ID, roles []string) []item.AttrPosting {
-	f, ok := v.(*colFrozen)
-	if !ok {
-		return item.AttrPostingsOf(v, root, roles)
-	}
+func colAttrPostings(f *colFrozen, root item.ID, roles []string) []item.AttrPosting {
 	frontier := []item.ID{root}
 	for _, role := range roles {
 		sym, ok := f.dec.schemaSyms.Lookup(role)
@@ -371,7 +359,7 @@ func (cs *colStore) patchIndexes(f, prev *colFrozen, dirty map[item.ID]bool) {
 	}
 
 	cs.patchNameIndex(f, prev)
-	f.attrs = patchAttrs(cs.attrSpecs, f, prev, dirty, colAttrPostings)
+	f.attrs = patchAttrs(cs.attrSpecs, f, prev, dirty)
 }
 
 // deltaFreeze builds a generation over prev's arrays, patching in exactly
@@ -518,7 +506,7 @@ func (cs *colStore) deltaFreeze(sch *schema.Schema, prev *colFrozen, dirty map[i
 }
 
 // fullFreeze builds a deep, share-nothing generation from the live state:
-// the A1 (COW off) ablation and the differential rebuild path.
+// the differential rebuild path.
 func (cs *colStore) fullFreeze(sch *schema.Schema) *colFrozen {
 	cs.gen++
 	gen := cs.gen
@@ -612,8 +600,7 @@ func (f *colFrozen) Object(id item.ID) (item.Object, bool) {
 	return f.dec.decodeObj(&row), true
 }
 
-// Relationship returns a value whose Ends slice is immutable shared data,
-// like the map store's frozen views.
+// Relationship returns a value whose Ends slice is immutable shared data.
 func (f *colFrozen) Relationship(id item.ID) (item.Relationship, bool) {
 	row, ok := f.relRowOf(id)
 	if !ok {
@@ -751,3 +738,56 @@ func (f *colFrozen) namePrefixRange(prefix string) (int, int) {
 // InheritsRelationships implements item.InheritsLister: the live
 // inherits-relationships, ascending, as a shared immutable slice.
 func (f *colFrozen) InheritsRelationships() []item.ID { return f.inherits }
+
+// patchMembers shares base when nothing changed, and otherwise merges the
+// sorted additions in and filters the removals out in one pass.
+func patchMembers(base, add, del []item.ID) []item.ID {
+	if len(add) == 0 && len(del) == 0 {
+		return base
+	}
+	sortIDs(add)
+	delSet := make(map[item.ID]bool, len(del))
+	for _, id := range del {
+		delSet[id] = true
+	}
+	return patchSorted(base, add, delSet)
+}
+
+// patchSorted returns base minus del plus add (both ascending), ascending.
+func patchSorted(base, add []item.ID, del map[item.ID]bool) []item.ID {
+	out := make([]item.ID, 0, len(base)+len(add))
+	ai := 0
+	for _, id := range base {
+		for ai < len(add) && add[ai] < id {
+			out = append(out, add[ai])
+			ai++
+		}
+		if del[id] {
+			continue
+		}
+		if ai < len(add) && add[ai] == id {
+			ai++ // already present; keep one copy
+		}
+		out = append(out, id)
+	}
+	for ; ai < len(add); ai++ {
+		out = append(out, add[ai])
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+func sortIDs(ids []item.ID) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+}
+
+func copyIDs(ids []item.ID) []item.ID {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]item.ID, len(ids))
+	copy(out, ids)
+	return out
+}

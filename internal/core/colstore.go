@@ -10,12 +10,11 @@ import (
 	"repro/internal/value"
 )
 
-// colStore is the columnar representation (the default): one flat row per
-// item in dense per-kind ordinal order, strings interned into append-only
-// symbol tables, and adjacency kept as immutable per-ordinal lists. Compared
-// to the map store's one-heap-object-per-item layout this removes the
-// per-item pointer, the map buckets, and the duplicated strings — the E12
-// experiment measures the bytes-per-object ratio against the map ablation.
+// colStore is the columnar representation: one flat row per item in dense
+// per-kind ordinal order, strings interned into append-only symbol tables,
+// and adjacency kept as immutable per-ordinal lists — no per-item pointer,
+// no map buckets, no duplicated strings. The E12 experiment measures its
+// bytes per item.
 //
 // The live state is not a separate copy of the last frozen generation: it is
 // a set of persistent verArr builders (verarr.go) continuing the frozen
@@ -394,8 +393,6 @@ func (cs *colStore) visibleRels() []item.ID {
 	sortIDs(out)
 	return out
 }
-
-func (cs *colStore) counts() (int, int) { return cs.nObjs, cs.nRels }
 
 // ---- physical row mutation ----
 

@@ -277,20 +277,19 @@ func TestFrozenCOWDifferential(t *testing.T) {
 		case op < 18:
 			_ = en.Delete(pick())
 		case op < 19: // transaction batch, committed or rolled back
-			if err := en.Begin(); err == nil {
-				for i := 0; i < rng.Intn(4); i++ {
-					name := fmt.Sprintf("T%d-%d", step, i)
-					if id, err := en.CreateObject(classes[rng.Intn(len(classes))], name); err == nil {
-						live = append(live, id)
-						names = append(names, name)
-					}
-					_ = en.SetValue(pick(), randValue())
+			tx := beginTx(en)
+			for i := 0; i < rng.Intn(4); i++ {
+				name := fmt.Sprintf("T%d-%d", step, i)
+				if id, err := en.CreateObject(classes[rng.Intn(len(classes))], name); err == nil {
+					live = append(live, id)
+					names = append(names, name)
 				}
-				if rng.Intn(3) == 0 {
-					_ = en.Rollback()
-				} else {
-					_ = en.Commit()
-				}
+				_ = en.SetValue(pick(), randValue())
+			}
+			if rng.Intn(3) == 0 {
+				_ = en.RollbackTx(tx)
+			} else {
+				_, _ = en.CommitTx(tx)
 			}
 		default: // physically purge everything purgeable
 			if _, err := en.PurgeDeleted(func(item.ID) bool { return false }); err != nil {
@@ -345,21 +344,4 @@ func TestFrozenSharedGeneration(t *testing.T) {
 	if o, ok := v3.Object(d); !ok || o.Value.Str() != "x" {
 		t.Errorf("new generation Object(%d) = %+v, %v", d, o, ok)
 	}
-}
-
-// TestFrozenCOWAblation: with COW disabled every freeze is a rebuild, and
-// re-enabling starts cleanly from a full build.
-func TestFrozenCOWAblation(t *testing.T) {
-	en := newFig3(t)
-	mustCreate(t, en, "Data", "A")
-	en.SetSnapshotCOW(false)
-	v1 := en.FrozenView()
-	if v2 := en.FrozenView(); v2 == v1 {
-		t.Error("COW-off freeze returned a cached generation")
-	}
-	en.SetSnapshotCOW(true)
-	mustCreate(t, en, "Data", "B")
-	got := en.FrozenView().(frozenIndexes)
-	want := en.FrozenViewRebuild().(frozenIndexes)
-	assertViewsEqual(t, 0, got, want, en.Schema().ClassNames())
 }

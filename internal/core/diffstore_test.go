@@ -10,27 +10,19 @@ import (
 	"repro/internal/value"
 )
 
-// Differential test between the two store representations: a columnar
-// engine and a map-backed engine driven by one randomized workload must be
-// observably identical after every operation — same success/failure, same
-// allocated IDs, same frozen-view surface. Run under -race (the CI stress
-// step does), the concurrent readers additionally enforce that columnar
-// frozen generations are immutable shared data. The workload also flips the
-// columnar engine through SetColumnarStore round-trips, so the live
-// migration path is diffed too.
+// Differential test between the columnar store and the reference store
+// (refstore_test.go): a columnar engine and a reference engine driven by one
+// randomized workload must be observably identical after every operation —
+// same success/failure, same allocated IDs, same frozen-view surface. Run
+// under -race (the CI stress step does), the concurrent readers additionally
+// enforce that columnar frozen generations are immutable shared data.
 
-// TestRandomColumnarVsMapDifferential drives a columnar and a map-backed
-// engine in lockstep and diffs their complete view surface every step.
-func TestRandomColumnarVsMapDifferential(t *testing.T) {
+// TestRandomColumnarVsReferenceDifferential drives a columnar and a
+// reference engine in lockstep and diffs their complete view surface every
+// step.
+func TestRandomColumnarVsReferenceDifferential(t *testing.T) {
 	col := newFig3(t)
-	mp := newFig3(t)
-	if err := mp.SetColumnarStore(false); err != nil {
-		t.Fatal(err)
-	}
-	if !col.ColumnarStore() || mp.ColumnarStore() {
-		t.Fatal("engines not in the intended representations")
-	}
-	engines := []*Engine{col, mp}
+	ref := newRefEngine(t)
 	rng := rand.New(rand.NewSource(11))
 	classNames := append(col.Schema().ClassNames(), "NoSuchClass")
 
@@ -60,12 +52,12 @@ func TestRandomColumnarVsMapDifferential(t *testing.T) {
 	// the outcome; the shared ID sequence keeps later picks aligned.
 	both := func(step int, op func(en *Engine) (item.ID, error)) (item.ID, bool) {
 		id0, err0 := op(col)
-		id1, err1 := op(mp)
+		id1, err1 := op(ref)
 		if (err0 == nil) != (err1 == nil) {
-			t.Fatalf("step %d: outcome diverged: columnar err=%v, map err=%v", step, err0, err1)
+			t.Fatalf("step %d: outcome diverged: columnar err=%v, reference err=%v", step, err0, err1)
 		}
 		if id0 != id1 {
-			t.Fatalf("step %d: allocated IDs diverged: columnar %d, map %d", step, id0, id1)
+			t.Fatalf("step %d: allocated IDs diverged: columnar %d, reference %d", step, id0, id1)
 		}
 		return id0, err0 == nil
 	}
@@ -121,7 +113,7 @@ func TestRandomColumnarVsMapDifferential(t *testing.T) {
 
 	const steps = 300
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(21); {
+		switch op := rng.Intn(20); {
 		case op < 4: // independent object, sometimes a pattern
 			name := fmt.Sprintf("O%d", step)
 			class := classes[rng.Intn(len(classes))]
@@ -193,60 +185,50 @@ func TestRandomColumnarVsMapDifferential(t *testing.T) {
 			id := pick()
 			both(step, func(en *Engine) (item.ID, error) { return item.NoID, en.Delete(id) })
 		case op < 19: // transaction batch, committed or rolled back
-			ok := true
-			for _, en := range engines {
-				if err := en.Begin(); err != nil {
-					ok = false
+			txs := map[*Engine]*Tx{col: col.BeginTx(), ref: ref.BeginTx()}
+			staged := func(op func(en *Engine) (item.ID, error)) func(en *Engine) (item.ID, error) {
+				return func(en *Engine) (item.ID, error) {
+					en.SetActiveTx(txs[en])
+					defer en.SetActiveTx(nil)
+					return op(en)
 				}
 			}
-			if ok {
-				for i := 0; i < rng.Intn(4); i++ {
-					name := fmt.Sprintf("T%d-%d", step, i)
-					class := classes[rng.Intn(len(classes))]
-					if id, ok := both(step, func(en *Engine) (item.ID, error) {
-						return en.CreateObject(class, name)
-					}); ok {
-						live = append(live, id)
-						names = append(names, name)
-					}
-					id, v := pick(), randValue()
-					both(step, func(en *Engine) (item.ID, error) { return item.NoID, en.SetValue(id, v) })
+			for i := 0; i < rng.Intn(4); i++ {
+				name := fmt.Sprintf("T%d-%d", step, i)
+				class := classes[rng.Intn(len(classes))]
+				if id, ok := both(step, staged(func(en *Engine) (item.ID, error) {
+					return en.CreateObject(class, name)
+				})); ok {
+					live = append(live, id)
+					names = append(names, name)
 				}
-				roll := rng.Intn(3) == 0
-				for _, en := range engines {
-					if roll {
-						_ = en.Rollback()
-					} else {
-						_ = en.Commit()
-					}
+				id, v := pick(), randValue()
+				both(step, staged(func(en *Engine) (item.ID, error) { return item.NoID, en.SetValue(id, v) }))
+			}
+			roll := rng.Intn(3) == 0
+			for en, tx := range txs {
+				if roll {
+					_ = en.RollbackTx(tx)
+				} else {
+					_, _ = en.CommitTx(tx)
 				}
 			}
-		case op < 20: // physically purge everything purgeable
+		default: // physically purge everything purgeable
 			both(step, func(en *Engine) (item.ID, error) {
 				_, err := en.PurgeDeleted(func(item.ID) bool { return false })
 				return item.NoID, err
 			})
-		default: // migrate the columnar engine out and back in
-			if err := col.SetColumnarStore(false); err != nil {
-				t.Fatalf("step %d: migrate to map: %v", step, err)
-			}
-			if err := col.SetColumnarStore(true); err != nil {
-				t.Fatalf("step %d: migrate to columnar: %v", step, err)
-			}
-			if !col.ColumnarStore() {
-				t.Fatalf("step %d: round-trip left the map store active", step)
-			}
 		}
-		if col.InTx() || mp.InTx() {
+		if col.InTx() || ref.InTx() {
 			continue
 		}
 		gotCol := col.FrozenView().(frozenIndexes)
-		gotMap := mp.FrozenView().(frozenIndexes)
-		// The map engine is the oracle for the columnar engine, and each
-		// engine's incremental view must match its own rebuild.
-		assertViewsEqual(t, step, gotCol, gotMap, classNames)
+		gotRef := ref.FrozenView().(frozenIndexes)
+		// The reference engine is the oracle for the columnar engine, and
+		// the columnar incremental view must match its own rebuild.
+		assertViewsEqual(t, step, gotCol, gotRef, classNames)
 		assertViewsEqual(t, step, gotCol, col.FrozenViewRebuild().(frozenIndexes), classNames)
-		assertGone(t, step, gotCol, gotMap, live, names)
+		assertGone(t, step, gotCol, gotRef, live, names)
 		select {
 		case views <- gotCol:
 		default:

@@ -82,15 +82,14 @@ type Procedure func(Event) error
 // server can interleave lock-scoped check-ins without a global write gate.
 //
 // The physical representation of item state lives behind the store
-// interface (store.go): the columnar store by default, the map-backed store
-// as the ablation baseline. The engine keeps only the logical bookkeeping —
-// ID allocation, dirt, transactions, procedures — representation-free.
+// interface (store.go), implemented by the columnar store. The engine keeps
+// only the logical bookkeeping — ID allocation, dirt, transactions,
+// procedures — representation-free.
 type Engine struct {
 	sch *schema.Schema
 
-	st         store   // physical item state; seed:guarded-by(external)
-	mapStoreOn bool    // ablation: use the map-backed store for new state
-	nextID     item.ID // seed:guarded-by(external)
+	st     store   // physical item state; seed:guarded-by(external)
+	nextID item.ID // seed:guarded-by(external)
 
 	attrSpecs []item.AttrSpec // registered attribute indexes (in-memory DDL)
 
@@ -99,7 +98,6 @@ type Engine struct {
 	dirty item.IDSet // items changed since the last version freeze (dense bitset)
 
 	snapDirty map[item.ID]bool // items changed since the last frozen generation
-	cowOff    bool             // ablation: rebuild every frozen view from scratch
 
 	inheritsLive int // live inherits-relationships (fast path when zero)
 
@@ -112,7 +110,6 @@ type Engine struct {
 
 	open      map[*Tx]bool       // transactions currently open
 	curTx     *Tx                // transaction the current operation belongs to
-	legacyTx  *Tx                // transaction opened by the legacy Begin
 	commitGen uint64             // bumped per committed transaction or auto-commit write
 	modGen    map[item.ID]uint64 // last commit generation that changed each item
 	nameGen   map[string]uint64  // last commit generation that changed each root name

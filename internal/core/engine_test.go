@@ -380,20 +380,23 @@ func TestDeleteRelationshipOnly(t *testing.T) {
 	}
 }
 
+// beginTx opens a transaction and attributes subsequent operations to it
+// until CommitTx or RollbackTx closes it.
+func beginTx(en *Engine) *Tx {
+	tx := en.BeginTx()
+	en.SetActiveTx(tx)
+	return tx
+}
+
 func TestTransactionRollback(t *testing.T) {
 	en := newFig2(t)
-	if err := en.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := en.Begin(); !errors.Is(err, ErrTxState) {
-		t.Errorf("nested Begin: %v", err)
-	}
+	tx := beginTx(en)
 	a := mustCreate(t, en, "Data", "A")
 	h := mustCreate(t, en, "Action", "H")
 	if _, err := en.CreateRelationship("Read", map[string]item.ID{"from": a, "by": h}); err != nil {
 		t.Fatal(err)
 	}
-	if err := en.Rollback(); err != nil {
+	if err := en.RollbackTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	v := en.View()
@@ -407,34 +410,32 @@ func TestTransactionRollback(t *testing.T) {
 		t.Errorf("dirty after rollback = %d", en.DirtyCount())
 	}
 	// Commit path.
-	if err := en.Begin(); err != nil {
-		t.Fatal(err)
-	}
+	tx = beginTx(en)
 	mustCreate(t, en, "Data", "B")
-	if err := en.Commit(); err != nil {
+	if _, err := en.CommitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := en.View().ObjectByName("B"); !ok {
 		t.Error("committed object missing")
 	}
-	if err := en.Commit(); !errors.Is(err, ErrTxState) {
-		t.Errorf("Commit without tx: %v", err)
+	if _, err := en.CommitTx(tx); !errors.Is(err, ErrTxState) {
+		t.Errorf("CommitTx of a finished tx: %v", err)
 	}
-	if err := en.Rollback(); !errors.Is(err, ErrTxState) {
-		t.Errorf("Rollback without tx: %v", err)
+	if err := en.RollbackTx(tx); !errors.Is(err, ErrTxState) {
+		t.Errorf("RollbackTx of a finished tx: %v", err)
 	}
 }
 
 func TestRejectedOpInsideTxLeavesTxIntact(t *testing.T) {
 	en := newFig2(t)
-	_ = en.Begin()
+	tx := beginTx(en)
 	a := mustCreate(t, en, "Data", "A")
 	// Rejected op: duplicate name.
 	if _, err := en.CreateObject("Data", "A"); err == nil {
 		t.Fatal("duplicate accepted")
 	}
 	// The transaction continues and commits the good op.
-	if err := en.Commit(); err != nil {
+	if _, err := en.CommitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := en.View().Object(a); !ok {

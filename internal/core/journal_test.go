@@ -129,8 +129,9 @@ func TestApplyRecordErrors(t *testing.T) {
 	}
 }
 
-// TestJournalBufferedInTx: records reach the journal only at Commit, and
-// never after Rollback.
+// TestJournalBufferedInTx: a transaction's records never reach the engine's
+// journal sink; CommitTx hands them back for the caller to log as one batch,
+// and RollbackTx discards them.
 func TestJournalBufferedInTx(t *testing.T) {
 	en := newFig3(t)
 	var journal [][]byte
@@ -138,19 +139,19 @@ func TestJournalBufferedInTx(t *testing.T) {
 		journal = append(journal, append([]byte(nil), p...))
 		return nil
 	})
-	_ = en.Begin()
+	tx := beginTx(en)
 	_, _ = en.CreateObject("Data", "A")
-	if len(journal) != 0 {
-		t.Fatal("record flushed before commit")
+	records, err := en.CommitTx(tx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = en.Commit()
-	if len(journal) != 1 {
-		t.Fatalf("records after commit = %d", len(journal))
+	if len(records) != 1 || len(journal) != 0 {
+		t.Fatalf("commit: %d records returned, %d journaled; want 1, 0", len(records), len(journal))
 	}
-	_ = en.Begin()
+	tx = beginTx(en)
 	_, _ = en.CreateObject("Data", "B")
-	_ = en.Rollback()
-	if len(journal) != 1 {
+	_ = en.RollbackTx(tx)
+	if len(journal) != 0 {
 		t.Fatalf("rolled-back record reached journal")
 	}
 }

@@ -203,7 +203,7 @@ func (en *Engine) Stats() Stats {
 
 // SymbolCount reports the total entries across the store's intern tables
 // (class/association/role names, root names, short string values), or 0 for
-// a store without intern tables (the map ablation). The tables are
+// a store without intern tables (the test reference store). The tables are
 // append-only between snapshots, so a long churn of unique values grows
 // them without bound — the database layer rebuilds them at compaction and
 // uses this count to verify the rebuild took.

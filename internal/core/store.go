@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/item"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -10,11 +8,9 @@ import (
 
 // store owns the physical representation of the engine's item state: rows,
 // the name index, the containment and relationship adjacency, and the frozen
-// snapshot machinery. The engine composes stores through this interface so
-// two representations can coexist — the columnar store (colstore.go, the
-// default) and the map-backed store (mapstore.go, the ablation baseline
-// behind Engine.SetColumnarStore(false)) — and so the randomized
-// differential test can drive both with one workload.
+// snapshot machinery. The engine runs on the columnar store (colstore.go);
+// the interface lets the randomized differential test substitute a naive
+// reference store and drive both with one workload.
 //
 // Stores are externally synchronized exactly like the engine. Accessors
 // that return slices (children, childrenAll, relsOf, and the Ends inside
@@ -38,8 +34,6 @@ type store interface {
 	visibleObjects() []item.ID
 	// visibleRels lists live relationships in ascending ID order (fresh slice).
 	visibleRels() []item.ID
-	// counts returns the number of known objects and relationships.
-	counts() (objects, rels int)
 
 	// ---- physical row mutation ----
 
@@ -98,12 +92,12 @@ type store interface {
 
 	// freezeView returns the immutable snapshot of the current live state,
 	// patching the dirtied items over the previous generation when it can.
-	// cowOff forces the ablation rebuild path; staged means transactions
-	// are open, so the store must not read live state wholesale (only the
-	// dirty items, which the claim discipline keeps committed).
-	freezeView(sch *schema.Schema, dirty map[item.ID]bool, cowOff, staged bool) frozen
+	// staged means transactions are open, so the store must not read live
+	// state wholesale (only the dirty items, which the claim discipline
+	// keeps committed).
+	freezeView(sch *schema.Schema, dirty map[item.ID]bool, staged bool) frozen
 	// rebuildView builds a self-contained snapshot from scratch without
-	// touching the incremental bookkeeping (differential tests, ablations).
+	// touching the incremental bookkeeping (differential tests).
 	rebuildView(sch *schema.Schema) frozen
 	// invalidate drops the incremental snapshot base: the next freezeView
 	// rebuilds from scratch.
@@ -123,42 +117,10 @@ type frozen interface {
 	InheritsRelationships() []item.ID
 }
 
-// newStore creates an empty store of the engine's active representation,
-// carrying the engine's attribute index registrations over.
+// newStore creates an empty columnar store carrying the engine's attribute
+// index registrations over.
 func (en *Engine) newStore() store {
-	var st store
-	if en.mapStoreOn {
-		st = newMapStore()
-	} else {
-		st = newColStore()
-	}
+	st := newColStore()
 	st.setAttrSpecs(en.attrSpecs)
 	return st
 }
-
-// SetColumnarStore switches between the columnar store (the default) and the
-// map-backed store that survives as the ablation baseline (A4; like
-// SetSnapshotCOW for A3). Switching a populated engine migrates every item
-// state into a fresh store of the other representation; version dirt and ID
-// allocation survive the migration, frozen generations are rebuilt from
-// scratch on the next freeze. Refused while a transaction is staged — the
-// migration captures live state wholesale.
-func (en *Engine) SetColumnarStore(enabled bool) error {
-	if en.mapStoreOn != enabled {
-		return nil // already in the requested representation
-	}
-	if len(en.open) > 0 {
-		return fmt.Errorf("%w: store switch inside transaction", ErrTxState)
-	}
-	objs, rels := en.CaptureAll()
-	dirty := en.DirtyIDs()
-	next := en.nextID
-	en.mapStoreOn = !enabled
-	en.Restore(objs, rels)
-	en.RestoreDirty(dirty)
-	en.ForceNextID(next)
-	return nil
-}
-
-// ColumnarStore reports whether the engine is on the columnar representation.
-func (en *Engine) ColumnarStore() bool { return !en.mapStoreOn }

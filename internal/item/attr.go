@@ -95,35 +95,6 @@ type AttrPosting struct {
 	ID  ID
 }
 
-// AttrPostingsOf derives the postings one root contributes to an index on
-// the given role path: walk the path like predicate evaluation does and
-// collect every defined leaf value. Undefined leaves are not indexed — they
-// match nothing in retrieval.
-func AttrPostingsOf(v View, root ID, roles []string) []AttrPosting {
-	frontier := []ID{root}
-	for _, role := range roles {
-		var next []ID
-		for _, id := range frontier {
-			next = append(next, v.Children(id, role)...)
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
-	}
-	var out []AttrPosting
-	for _, id := range frontier {
-		o, ok := v.Object(id)
-		if !ok {
-			continue
-		}
-		if o.Value.IsDefined() {
-			out = append(out, AttrPosting{Val: o.Value, ID: root})
-		}
-	}
-	return out
-}
-
 // attrValKey is the canonical comparable form of an indexed value: strings
 // compare as themselves, every other kind through a uint64 ordinal whose
 // unsigned order matches value.Compare (sign-flipped integers and dates,

@@ -51,7 +51,7 @@ func (h *opHist) observe(d time.Duration) {
 // "ok" is a success, "error" an uncoded failure; the rest are the wire codes.
 var respCodes = [...]string{
 	"ok", "error", wire.CodeLocked, wire.CodeNotLocked, wire.CodeConflict,
-	wire.CodeOverloaded, wire.CodeShuttingDown,
+	wire.CodeOverloaded, wire.CodeShuttingDown, wire.CodeNotPrimary,
 }
 
 // metrics is the server's hot-path counter set. All fields are atomics (or

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,17 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	}
 	if client.Classify(err) != client.ClassRedial {
 		t.Fatalf("not-primary must classify as redial, got %v", client.Classify(err))
+	}
+	// /metrics files each refusal under its own code, not as an uncoded error.
+	var metrics strings.Builder
+	fsrv.WriteMetrics(&metrics)
+	for _, want := range []string{
+		`seed_responses_total{code="not-primary"} 3` + "\n",
+		`seed_responses_total{code="error"} 0` + "\n",
+	} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("follower /metrics missing %q:\n%s", want, metrics.String())
+		}
 	}
 	// Followers do not chain: subscribe-log is refused too.
 	ls, err := cli.SubscribeLog()

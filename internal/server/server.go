@@ -68,12 +68,6 @@ type Server struct {
 	// staged batch.
 	barrier sync.RWMutex
 
-	// serialize restores the pre-concurrency global write gate (one
-	// check-in at a time, durability wait included) — the E9 baseline and
-	// a differential-testing mode. Set before Listen.
-	serialize bool
-	gate      sync.Mutex
-
 	// Connection hygiene (SetTimeouts, before Listen). idleTimeout bounds
 	// the gap between two frames from one client; writeTimeout bounds one
 	// response write. A connection that trips either is closed, and its
@@ -158,12 +152,6 @@ func (s *Server) SetAdmission(maxInflight, queueDepth, perConn int) {
 		s.perConn = perConn
 	}
 }
-
-// SetSerializedCheckins switches the server back to the global write gate
-// that predated lock-scoped concurrent check-ins: every check-in holds the
-// gate from lock verification through durable commit. It exists as the E9
-// benchmark baseline and for differential testing; call it before Listen.
-func (s *Server) SetSerializedCheckins(on bool) { s.serialize = on }
 
 // SetTimeouts configures the per-connection idle read timeout (maximum gap
 // between two client frames) and write deadline (maximum time one response
@@ -976,12 +964,6 @@ func (s *Server) handleRelease(clientID string, req *wire.Request) *wire.Respons
 // parallel, and their commits coalesce into shared fsyncs in the
 // group-commit write-ahead log.
 func (s *Server) handleCheckin(clientID string, req *wire.Request) *wire.Response {
-	if s.serialize {
-		// E9 baseline / differential mode: the old global write gate,
-		// held through the durable commit.
-		s.gate.Lock()
-		defer s.gate.Unlock()
-	}
 	// Check-ins are readers of the whole-database barrier: many at once,
 	// but never interleaved with a version freeze.
 	s.barrier.RLock()

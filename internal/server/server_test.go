@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -184,17 +185,22 @@ func TestDisconnectReleasesLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Close()
-	// Lock release happens when the connection handler exits; retry
-	// briefly.
+	// Lock release happens when the connection handler exits; until then
+	// the only acceptable refusal is ErrLocked.
 	c2 := dial(t, addr)
-	ok := false
-	for i := 0; i < 100 && !ok; i++ {
-		if _, err := c2.Checkout("Orphan"); err == nil {
-			ok = true
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := c2.Checkout("Orphan")
+		if err == nil {
+			return
 		}
-	}
-	if !ok {
-		t.Error("lock not released on disconnect")
+		if !errors.Is(err, client.ErrLocked) {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("lock not released on disconnect")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -460,146 +461,6 @@ func TestStoreCompactCrashBeforeDelete(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration checks that a pre-segmented wal.seed (and legacy
-// snapshot header) still opens: records replay and the file is converted to
-// segment 1.
-func TestLegacyWALMigration(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-write the old single-file format: magic + len/crc framed records.
-	var buf bytes.Buffer
-	buf.Write(legacyMagic[:])
-	for _, p := range []string{"legacy-1", "legacy-2"} {
-		var h [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE([]byte(p)))
-		buf.Write(h[:])
-		buf.WriteString(p)
-	}
-	buf.Write([]byte{3, 0, 0}) // torn tail, must be dropped silently
-	if err := os.WriteFile(filepath.Join(dir, LegacyWALFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var rec recorder
-	st, err := Open(dir, &rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.records) != 2 || string(rec.records[0]) != "legacy-1" {
-		t.Fatalf("migrated records = %q", rec.records)
-	}
-	_ = st.Append([]byte("new"))
-	_ = st.Sync()
-	st.Close()
-	if _, err := os.Stat(filepath.Join(dir, LegacyWALFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy wal.seed not removed after migration")
-	}
-
-	var rec2 recorder
-	st2, err := Open(dir, &rec2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if len(rec2.records) != 3 || string(rec2.records[2]) != "new" {
-		t.Errorf("records after migration reopen = %q", rec2.records)
-	}
-}
-
-// TestLegacyWALMigrationInterrupted simulates a crash mid-migration:
-// segment 1 exists (partially written) while wal.seed is still present.
-// The next open must regenerate segment 1 from the legacy file instead of
-// refusing to open.
-func TestLegacyWALMigrationInterrupted(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.Write(legacyMagic[:])
-	for _, p := range []string{"keep-1", "keep-2", "keep-3"} {
-		var h [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE([]byte(p)))
-		buf.Write(h[:])
-		buf.WriteString(p)
-	}
-	if err := os.WriteFile(filepath.Join(dir, LegacyWALFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A partial migration artifact: segment 1 with only a header.
-	seg, err := createSegment(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = seg.append([]byte("keep-1")) // first record made it, then "crash"
-	_ = seg.sync()
-	seg.f.Close()
-
-	var rec recorder
-	st, err := Open(dir, &rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if len(rec.records) != 3 || string(rec.records[2]) != "keep-3" {
-		t.Fatalf("records after resumed migration = %q", rec.records)
-	}
-	if _, err := os.Stat(filepath.Join(dir, LegacyWALFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy wal.seed not removed after resumed migration")
-	}
-	// Segments 2+ next to a legacy file cannot be a migration artifact.
-	dir2 := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir2, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir2, LegacyWALFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seg2, err := createSegment(dir2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg2.f.Close()
-	if _, err := Open(dir2, nil, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("legacy file alongside segment 2: %v", err)
-	}
-}
-
-// TestLegacyWALEmptyFile: a 0-byte wal.seed (old writer crashed before its
-// header hit disk) held no records and must not brick the store.
-func TestLegacyWALEmptyFile(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, LegacyWALFile), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, &recorder{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st.Append([]byte("fresh"))
-	_ = st.Sync()
-	st.Close()
-	if _, err := os.Stat(filepath.Join(dir, LegacyWALFile)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("empty legacy wal.seed not removed")
-	}
-	var rec recorder
-	st2, err := Open(dir, &rec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if len(rec.records) != 1 || string(rec.records[0]) != "fresh" {
-		t.Errorf("records = %q", rec.records)
-	}
-}
-
 // TestWALFreshStoreTornFirstSegment: a crash during the very first segment
 // creation (0-byte or partial-header sole segment) held no records and
 // must not brick the store.
@@ -715,4 +576,102 @@ func TestRotateDrainsStagedBatches(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q (batch order broken)", i, got[i], want[i])
 		}
 	}
+}
+
+// writeRetiredWAL hand-writes the single-file WAL format that preceded
+// segments: magic "SEEDLOG1", then len/crc framed records.
+func writeRetiredWAL(t *testing.T, dir string, records ...string) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString("SEEDLOG1")
+	for _, p := range records {
+		var h [recordHeaderSize]byte
+		binary.LittleEndian.PutUint32(h[0:4], uint32(len(p)))
+		binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE([]byte(p)))
+		buf.Write(h[:])
+		buf.WriteString(p)
+	}
+	if err := os.WriteFile(filepath.Join(dir, retiredWALFile), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openRetired opens dir and asserts it is refused with ErrBadMagic naming
+// wal.seed, with nothing replayed and the retired file left in place.
+func openRetired(t *testing.T, dir string) {
+	t.Helper()
+	var rec recorder
+	st, err := Open(dir, &rec, Options{})
+	if err == nil {
+		st.Close()
+		t.Fatal("directory holding wal.seed opened")
+	}
+	if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), retiredWALFile) {
+		t.Fatalf("open = %v, want ErrBadMagic naming %s", err, retiredWALFile)
+	}
+	if len(rec.records) != 0 || rec.snapshot != nil {
+		t.Errorf("refused open replayed records %q", rec.records)
+	}
+	if _, err := os.Stat(filepath.Join(dir, retiredWALFile)); err != nil {
+		t.Errorf("retired wal.seed touched by a refused open: %v", err)
+	}
+}
+
+// TestLegacyWALMigration: the single-file WAL is no longer migrated. A
+// directory holding one is refused, and the file is kept for an operator,
+// since skipping it would silently lose its records.
+func TestLegacyWALMigration(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeRetiredWAL(t, dir, "legacy-1", "legacy-2")
+	openRetired(t, dir)
+	// A second attempt is refused the same way: the first left no segment.
+	openRetired(t, dir)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*")); len(segs) != 0 {
+		t.Errorf("refused open created segments %v", segs)
+	}
+}
+
+// TestLegacyWALMigrationInterrupted: a wal.seed next to segments, the state
+// a crashed migration used to leave, is refused too, whatever the segments
+// hold; no segment is rewritten or removed.
+func TestLegacyWALMigrationInterrupted(t *testing.T) {
+	for _, n := range []uint64{1, 2} {
+		dir := filepath.Join(t.TempDir(), "db")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeRetiredWAL(t, dir, "keep-1", "keep-2", "keep-3")
+		seg, err := createSegment(dir, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = seg.append([]byte("keep-1"))
+		_ = seg.sync()
+		seg.f.Close()
+		before, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		openRetired(t, dir)
+		after, err := os.ReadFile(seg.path)
+		if err != nil || !bytes.Equal(before, after) {
+			t.Errorf("segment %d changed by a refused open (err %v)", n, err)
+		}
+	}
+}
+
+// TestLegacyWALEmptyFile: any wal.seed is refused before its contents are
+// read, an empty one included.
+func TestLegacyWALEmptyFile(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, retiredWALFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openRetired(t, dir)
 }

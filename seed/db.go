@@ -38,6 +38,9 @@ var (
 	// ErrTxDone rejects operations on a transaction handle that was
 	// already committed or rolled back.
 	ErrTxDone = errors.New("seed: transaction already committed or rolled back")
+	// ErrSnapshotFormat rejects a snapshot payload whose format number this
+	// build does not read (including the retired format 1).
+	ErrSnapshotFormat = errors.New("seed: unsupported snapshot format")
 )
 
 // SnapshotMode selects how versions store item states.
@@ -76,9 +79,6 @@ type Options struct {
 	Mode SnapshotMode
 	// SyncPolicy selects when journal records become durable.
 	SyncPolicy SyncPolicy
-	// SyncEveryOp is the legacy spelling of SyncPolicy: SyncGroupCommit.
-	// Deprecated: set SyncPolicy instead.
-	SyncEveryOp bool
 	// SegmentSize caps one write-ahead-log segment file in bytes before the
 	// log rotates to the next numbered segment (0 selects the storage
 	// default, 4 MiB).
@@ -94,11 +94,7 @@ type Options struct {
 
 // storage returns the storage-layer options this configuration implies.
 func (o Options) storage() storage.Options {
-	so := storage.Options{SegmentSize: o.SegmentSize, SyncPolicy: o.SyncPolicy}
-	if o.SyncEveryOp {
-		so.SyncPolicy = storage.SyncGroupCommit
-	}
-	return so
+	return storage.Options{SegmentSize: o.SegmentSize, SyncPolicy: o.SyncPolicy}
 }
 
 // Database is a SEED database: the current state, the version tree, and —
@@ -129,8 +125,6 @@ type Database struct {
 	snapMu sync.Mutex                    // serializes snapshot builds
 	snap   atomic.Pointer[snapshotCache] // snapshot of the last built generation
 	gen    uint64                        // seed:guarded-by(mu) — mutation generation (bumped per visible change)
-
-	legacy *Tx // seed:guarded-by(mu) — transaction opened by the legacy Begin (global operations join it)
 
 	// Follower replication (replica.go). replica marks a read-only
 	// follower — every mutation entry point refuses with ErrNotPrimary.
@@ -321,37 +315,6 @@ func (db *Database) SetSnapshotMode(m SnapshotMode) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.opts.Mode = m
-}
-
-// SetSnapshotCOW switches the incremental copy-on-write read snapshots on
-// or off (on by default). With COW off, the first View/RawView after every
-// mutation rebuilds the whole snapshot from scratch — the pre-COW baseline
-// the E8 experiment measures (A3 in DESIGN.md section 7). Results are
-// identical either way; only the freeze cost changes.
-func (db *Database) SetSnapshotCOW(enabled bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.engine.SetSnapshotCOW(enabled)
-}
-
-// SetColumnarStore switches the engine between the columnar representation
-// (the default) and the map-backed representation that survives as the
-// ablation baseline (A4 in DESIGN.md section 11; the E12 experiment measures
-// the two against each other). Switching migrates every item state into a
-// fresh store of the other representation and rebuilds read snapshots from
-// scratch on the next View; results are identical either way. Refused while
-// a transaction is open.
-func (db *Database) SetColumnarStore(enabled bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.engine.SetColumnarStore(enabled)
-}
-
-// ColumnarStore reports whether the engine is on the columnar representation.
-func (db *Database) ColumnarStore() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engine.ColumnarStore()
 }
 
 // RegisterProcedure registers an attached procedure implementation under

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/item"
 	"repro/internal/storage"
 )
 
@@ -470,9 +470,10 @@ func TestFullSnapshotsMode(t *testing.T) {
 }
 
 // TestNoCompactionInsideTransaction: auto-compaction must never run while
-// a transaction is open — a snapshot taken mid-batch would persist
-// uncommitted operations (and truncate the log before their journal
-// records exist), so a rollback could leave phantom data on disk.
+// a transaction is open — a snapshot taken mid-batch would persist the
+// staged operations (and truncate the log before their journal records
+// exist), so a rollback could leave phantom data on disk. An auto-commit
+// operation landing while the batch is staged is the trigger.
 func TestNoCompactionInsideTransaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	// A threshold small enough that the transaction's operations would
@@ -486,21 +487,19 @@ func TestNoCompactionInsideTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Begin(); err != nil {
+	tx, err := db.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.CreateValueObject(keep, "Description", NewString("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := db.CreateValueObject(keep, "Description", NewString("doomed")); err != nil {
-			// Description is 0..1; only the first create succeeds — use
-			// fresh objects instead to generate volume.
-			break
-		}
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := db.CreateObject("Data", "Doomed"+string(rune('A'+i))); err != nil {
+		if _, err := tx.CreateObject("Data", "Doomed"+string(rune('A'+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	create(t, db, "Data", "Bystander") // auto-commit: would trip compaction
 	midTx, err := os.Stat(filepath.Join(dir, "snapshot.seed"))
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +507,7 @@ func TestNoCompactionInsideTransaction(t *testing.T) {
 	if !midTx.ModTime().Equal(preTx.ModTime()) || midTx.Size() != preTx.Size() {
 		t.Fatal("compaction ran inside the open transaction")
 	}
-	if err := db.Rollback(); err != nil {
+	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	// Force the deferred compaction on the next committed operation and
@@ -526,80 +525,69 @@ func TestNoCompactionInsideTransaction(t *testing.T) {
 	if _, err := db2.ResolvePath("Keep.Description"); err == nil {
 		t.Error("rolled-back value object persisted to disk")
 	}
-	for _, name := range []string{"Keep", "After"} {
+	for _, name := range []string{"Keep", "Bystander", "After"} {
 		if _, ok := db2.View().ObjectByName(name); !ok {
 			t.Errorf("committed object %s lost", name)
 		}
 	}
 }
 
-// TestSnapshotFormatV1Load: databases compacted before the symbol-coded
-// snapshot format landed must still load. The test encodes the state in the
-// retired format-1 layout (inline strings per item, no symbol table) and
-// feeds it through the recovery path.
-func TestSnapshotFormatV1Load(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db := openDB(t, dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
-	defer db.Close()
-
-	alarms := create(t, db, "Data", "Alarms")
-	sensor := create(t, db, "Action", "Sensor")
-	acc, err := db.CreateRelationship("Access", map[string]ID{"from": alarms, "by": sensor})
-	if err != nil {
-		t.Fatal(err)
+// TestRetiredFormatsRefused: files in a retired on-disk format are refused
+// with a typed error, never skipped or half-read — skipping the single-file
+// WAL would silently lose its records.
+func TestRetiredFormatsRefused(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(t *testing.T, dir string)
+		want  error
+		file  string // must be named in the error
+	}{
+		{"single-file-wal", func(t *testing.T, dir string) {
+			// The pre-segment WAL: magic "SEEDLOG1" and framed records.
+			if err := os.WriteFile(filepath.Join(dir, "wal.seed"), []byte("SEEDLOG1\x03\x00\x00"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, storage.ErrBadMagic, "wal.seed"},
+		{"seedsnap-header", func(t *testing.T, dir string) {
+			// The first snapshot header: "SEEDSNAP", length, CRC, payload.
+			raw := append([]byte("SEEDSNAP"), 0, 0, 0, 0, 0, 0, 0, 0)
+			if err := os.WriteFile(filepath.Join(dir, storage.SnapshotFile), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, storage.ErrBadMagic, storage.SnapshotFile},
+		{"format-1-payload", func(t *testing.T, dir string) {
+			// A current snapshot file whose payload is format 1 (inline
+			// strings per item, no symbol table).
+			st, err := storage.Open(dir, nil, storage.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := storage.NewEncoder(nil)
+			e.Uint64(1)
+			e.Uint64(1)
+			if err := st.Compact(e.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrSnapshotFormat, ""},
 	}
-	text, _ := db.CreateSubObject(alarms, "Text")
-	sel, err := db.CreateValueObject(text, "Selector", NewString("Representation"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.SaveVersion("v1"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Encode the current state exactly as the retired format 1 did, under
-	// the lock the engine and version fields are guarded by.
-	db.mu.RLock()
-	e := storage.NewEncoder(nil)
-	e.Uint64(snapshotFormatV1)
-	e.Uint64(uint64(db.engine.NextID()))
-	e.Int(len(db.schemas))
-	for _, sch := range db.schemas {
-		e.String(RenderSDL(sch))
-	}
-	objs, rels := db.engine.CaptureAll()
-	e.Int(len(objs))
-	for i := range objs {
-		item.EncodeObject(e, &objs[i])
-	}
-	e.Int(len(rels))
-	for i := range rels {
-		item.EncodeRelationship(e, &rels[i])
-	}
-	dirty := db.engine.DirtyIDs()
-	e.Int(len(dirty))
-	for _, id := range dirty {
-		e.Uint64(uint64(id))
-	}
-	db.vers.Encode(e)
-	db.mu.RUnlock()
-
-	db2 := openDB(t, filepath.Join(t.TempDir(), "db2"), Options{Schema: Figure3Schema(), Clock: fixedClock()})
-	defer db2.Close()
-	if err := db2.loadSnapshot(e.Bytes()); err != nil {
-		t.Fatalf("format-1 snapshot load: %v", err)
-	}
-	v := db2.View()
-	if id, ok := v.ObjectByName("Alarms"); !ok || id != alarms {
-		t.Fatalf("Alarms after v1 load = %d %v", id, ok)
-	}
-	if o, ok := v.Object(sel); !ok || o.Value.Str() != "Representation" {
-		t.Errorf("Selector after v1 load = %v %v", o.Value, ok)
-	}
-	if r, ok := v.Relationship(acc); !ok || r.Assoc.Name() != "Access" {
-		t.Errorf("Access after v1 load: %v", ok)
-	}
-	if names := db2.Versions(); len(names) == 0 {
-		t.Error("version tree lost in v1 load")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			tc.write(t, dir)
+			db, err := Open(dir, Options{Schema: Figure3Schema(), Clock: fixedClock()})
+			if err == nil {
+				db.Close()
+				t.Fatal("retired format opened")
+			}
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.file) {
+				t.Fatalf("open = %v, want %v naming %q", err, tc.want, tc.file)
+			}
+		})
 	}
 }

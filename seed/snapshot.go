@@ -24,13 +24,9 @@ import (
 //	versions the version tree (per-node deltas encoded against the schema
 //	         version each node was created under)
 //
-// Format 1 (inline strings per item, no symbol table) is still loaded for
-// databases compacted before the columnar store landed.
+// Any other format number is refused with ErrSnapshotFormat.
 
-const (
-	snapshotFormat   = 2
-	snapshotFormatV1 = 1
-)
+const snapshotFormat = 2
 
 // compactLocked rewrites the log as one snapshot record, then rebuilds the
 // engine's intern tables from the live rows.
@@ -71,8 +67,7 @@ func (db *Database) rebuildStoreLocked() {
 }
 
 // SymbolCount reports the engine's total interned symbols (class, name and
-// short-value tables; 0 on the map-store ablation and on a follower before
-// its first bootstrap). The churn regression test gates on it shrinking
+// short-value tables; 0 on a follower before its first bootstrap). The churn regression test gates on it shrinking
 // across a Compact.
 func (db *Database) SymbolCount() int {
 	db.mu.RLock()
@@ -128,8 +123,8 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if format != snapshotFormat && format != snapshotFormatV1 {
-		return fmt.Errorf("seed: unsupported snapshot format %d", format)
+	if format != snapshotFormat {
+		return fmt.Errorf("%w %d", ErrSnapshotFormat, format)
 	}
 	nextID, err := d.Uint64()
 	if err != nil {
@@ -164,13 +159,7 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	}
 	en.BeginReplay()
 
-	var objs []item.Object
-	var rels []item.Relationship
-	if format == snapshotFormatV1 {
-		objs, rels, err = decodeItemsV1(d, latest)
-	} else {
-		objs, rels, err = decodeItemsV2(d, latest)
-	}
+	objs, rels, err := decodeItems(d, latest)
 	if err != nil {
 		return err
 	}
@@ -202,34 +191,9 @@ func (db *Database) loadSnapshot(payload []byte) error {
 	return nil
 }
 
-// decodeItemsV1 reads the format-1 item sections: inline strings per item.
-func decodeItemsV1(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
-	objCount, err := d.Int()
-	if err != nil {
-		return nil, nil, err
-	}
-	objs := make([]item.Object, objCount)
-	for i := range objs {
-		if objs[i], err = item.DecodeObject(d, latest); err != nil {
-			return nil, nil, err
-		}
-	}
-	relCount, err := d.Int()
-	if err != nil {
-		return nil, nil, err
-	}
-	rels := make([]item.Relationship, relCount)
-	for i := range rels {
-		if rels[i], err = item.DecodeRelationship(d, latest); err != nil {
-			return nil, nil, err
-		}
-	}
-	return objs, rels, nil
-}
-
-// decodeItemsV2 reads the format-2 item sections: the symbol table, then the
-// sym-coded items blob.
-func decodeItemsV2(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
+// decodeItems reads the item sections: the symbol table, then the sym-coded
+// items blob.
+func decodeItems(d *storage.Decoder, latest *schema.Schema) ([]item.Object, []item.Relationship, error) {
 	strs, err := item.DecodeSymTab(d)
 	if err != nil {
 		return nil, nil, err
