@@ -1,12 +1,13 @@
 package repro
 
 // One benchmark group per evaluation artifact of the paper (experiments
-// E1-E5 of DESIGN.md) plus the ablation groups A1-A3. The paper reports no
-// absolute numbers — its host is a 1986 workstation — so these benches
-// document the cost shape of each mechanism: what the eager consistency
-// checking costs per update, how delta versions scale against full copies,
-// what pattern splicing costs per inheritor, and how the SEED-backed
-// specification tool compares against the plain-struct baseline.
+// E1-E5 of DESIGN.md), the ablation groups A1-A2 and the pattern-splice
+// group. The paper reports no absolute numbers — its host is a 1986
+// workstation — so these benches document the cost shape of each
+// mechanism: what the eager consistency checking costs per update, how
+// delta versions scale against full copies, what pattern splicing costs
+// per inheritor, and how the SEED-backed specification tool compares
+// against the plain-struct baseline.
 
 import (
 	"fmt"
@@ -416,7 +417,7 @@ func BenchmarkAblation_Consistency_DeferredFullRecheck(b *testing.B) {
 	}
 }
 
-// ---- A3 ablation: spliced pattern reads (computed) vs. cached view ----
+// ---- Pattern-splice group: spliced pattern reads (computed) vs. cached view ----
 
 func BenchmarkAblation_Pattern_FreshSplice(b *testing.B) {
 	db := mustMem(b, seed.Figure3Schema())

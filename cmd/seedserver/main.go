@@ -48,7 +48,7 @@
 // (get, list, query, versions, completeness, stats) from its own pinned
 // snapshots at replication lag, and refuses every mutation with the
 // retryable "not-primary" wire code — clients redial the primary
-// (client.Classify reports ClassRedial). The listener starts only after
+// (client.Classify reports errcode.Redial). The listener starts only after
 // the first complete bootstrap, so a follower that accepts connections is
 // serving real state; dropped primary connections reconnect with backoff
 // and resync without interrupting reads. -dir, -schema, -segment-size and

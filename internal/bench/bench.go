@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/server"
 	"repro/internal/spades"
 	"repro/internal/spades/baseline"
@@ -604,7 +605,7 @@ func E7() *Result {
 			for i := 1; !stop.Load(); i++ {
 				ws, err := c.Checkout("Doc")
 				if err != nil {
-					if errors.Is(err, client.ErrLocked) {
+					if errors.Is(err, errcode.ErrLocked) {
 						conflicts.Add(1) // the other writer holds it; retry
 						continue
 					}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/seed"
@@ -82,8 +83,8 @@ type E14Data struct {
 	P99Uncontrolled   int64   `json:"p99_uncontrolled_ns"`
 	P99Ratio          float64 `json:"p99_controlled_over_uncontrolled"`
 
-	Stallers      int  `json:"stallers"`
-	Disconnecters int  `json:"disconnecters"`
+	Stallers       int  `json:"stallers"`
+	Disconnecters  int  `json:"disconnecters"`
 	LocksReclaimed bool `json:"locks_reclaimed"`
 
 	AckedCheckins int   `json:"acked_checkins"`
@@ -110,9 +111,9 @@ func p99(ds []time.Duration) time.Duration {
 
 // overloadOutcome is one overload pass's measurements.
 type overloadOutcome struct {
-	accepted []time.Duration
-	shed     int
-	untyped  int
+	accepted  []time.Duration
+	shed      int
+	untyped   int
 	reclaimed bool
 }
 
@@ -149,7 +150,11 @@ func runOverload(w FaultWorkload, admission bool) (*overloadOutcome, error) {
 	}
 
 	srv := server.New(db)
-	srv.SetTimeouts(0, 200*time.Millisecond) // reap stalled writes
+	// The write deadline reaps a staller once a fat response stalls on its
+	// full TCP window. Under the gate a staller's whole burst can be shed
+	// instead: the small refusals fit in the socket buffers, no write ever
+	// stalls, and only the idle timeout reaps it.
+	srv.SetTimeouts(5*time.Second, 200*time.Millisecond)
 	if admission {
 		srv.SetAdmission(w.Limit, w.Depth, 0)
 	}
@@ -190,12 +195,18 @@ func runOverload(w FaultWorkload, admission bool) (*overloadOutcome, error) {
 		}
 	}
 	// Disconnecters: check a lock out, stage work, vanish without a word.
+	// The stallers' floods can keep the admission gate full, so the
+	// checkout rides out typed sheds like any well-behaved client.
 	for i := 0; i < w.Disconnecters; i++ {
 		c, err := client.Dial(addr)
 		if err != nil {
 			return nil, err
 		}
-		ws, err := c.Checkout(fmt.Sprintf("DropLock%d", i))
+		var ws *client.Workspace
+		err = client.Retry(context.Background(), func() error {
+			ws, err = c.Checkout(fmt.Sprintf("DropLock%d", i))
+			return err
+		})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -253,7 +264,7 @@ func runOverload(w FaultWorkload, admission bool) (*overloadOutcome, error) {
 					switch {
 					case err == nil:
 						out.accepted = append(out.accepted, lat)
-					case errors.Is(err, client.ErrOverloaded):
+					case errors.Is(err, errcode.ErrOverloaded):
 						out.shed++
 					default:
 						out.untyped++
@@ -289,7 +300,7 @@ func runOverload(w FaultWorkload, admission bool) (*overloadOutcome, error) {
 				_ = ws.Abandon()
 				break
 			}
-			if !errors.Is(err, client.ErrLocked) && !errors.Is(err, client.ErrOverloaded) {
+			if !errors.Is(err, errcode.ErrLocked) && !errors.Is(err, errcode.ErrOverloaded) {
 				return nil, fmt.Errorf("probing %s: %w", name, err)
 			}
 			if time.Now().After(deadline) {
@@ -399,12 +410,12 @@ func E14() *Result {
 func E14Stats(w FaultWorkload) (*Result, *E14Data) {
 	r := &Result{Name: "E14: fault harness — overload shedding, chaos hygiene, graceful drain"}
 	data := &E14Data{
-		Experiment:     "E14",
-		GoVersion:      runtime.Version(),
-		CPUs:           runtime.NumCPU(),
-		OverloadFactor: w.Clients / max(w.Limit+w.Depth, 1),
-		Stallers:       w.Stallers,
-		Disconnecters:  w.Disconnecters,
+		Experiment:       "E14",
+		GoVersion:        runtime.Version(),
+		CPUs:             runtime.NumCPU(),
+		OverloadFactor:   w.Clients / max(w.Limit+w.Depth, 1),
+		Stallers:         w.Stallers,
+		Disconnecters:    w.Disconnecters,
 		GoroutinesBefore: runtime.NumGoroutine(),
 	}
 	r.logf("offered load: %d conns x %d in flight (%dx the %d-slot gate), %d-create check-ins, %d stallers, %d disconnecters",

@@ -12,10 +12,12 @@
 // the v1 one-request-one-response protocol.
 //
 // Transient server-side failures — a lock held by another client
-// (ErrLocked), a check-in conflict (ErrConflict), or an admission-control
-// rejection when the server is overloaded (ErrOverloaded) — are retryable:
-// wrap the operation in Retry, which backs off exponentially with jitter
-// (capped, context-bounded) and gives up immediately on everything else.
+// (errcode.ErrLocked), a check-in conflict (errcode.ErrConflict), or an
+// admission-control rejection when the server is overloaded
+// (errcode.ErrOverloaded) — are retryable: wrap the operation in Retry,
+// which backs off exponentially with jitter (capped, context-bounded) and
+// gives up immediately on everything else. The errcode table decides which
+// outcomes those are.
 package client
 
 import (
@@ -26,36 +28,14 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/errcode"
 	"repro/internal/wire"
 )
 
-// Client errors. ErrLocked and ErrNotLocked mirror the server's lock
-// errors: the wire protocol carries an error code alongside the message, so
-// the identity survives the round trip and callers can errors.Is-match —
-// a checkout that fails with ErrLocked is retryable once the holder checks
-// in or releases.
-var (
-	ErrRemote    = errors.New("client: server error")
-	ErrLocked    = errors.New("client: object is checked out by another client")
-	ErrNotLocked = errors.New("client: object is not checked out by this client")
-	// ErrConflict mirrors the server's transaction-conflict error: two
-	// concurrently staged check-ins overlapped. Retryable — check out
-	// again and re-stage the batch.
-	ErrConflict = errors.New("client: check-in conflicted with a concurrent check-in")
-	// ErrOverloaded mirrors the server's admission-control rejection: the
-	// global in-flight limit was reached and the bounded wait queue was
-	// full, so the request was shed without executing. Retryable with
-	// backoff — Retry handles it.
-	ErrOverloaded = errors.New("client: server overloaded, request shed")
-	// ErrShuttingDown mirrors the server's graceful-drain refusal: the
-	// server stopped accepting new mutations while it drains. Retryable
-	// against the server's replacement, not against this server.
-	ErrShuttingDown = errors.New("client: server shutting down, mutation refused")
-	// ErrNotPrimary mirrors a read-only follower's refusal: mutations (and
-	// log subscriptions) must go to the primary. Retryable after redialing
-	// — never against this connection (Classify says ClassRedial).
-	ErrNotPrimary = errors.New("client: server is a read-only follower, mutate on the primary")
-)
+// ErrRemote is wrapped by every error a server reported. A response that
+// carries an outcome code also wraps that outcome's errcode sentinel, so
+// errors.Is matches both, and Classify reads its retry class.
+var ErrRemote = errors.New("client: server error")
 
 // Client is one connection to a SEED server. A v2 client is safe for
 // concurrent use: independent goroutines' requests interleave on the wire
@@ -321,25 +301,25 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-// remoteError rebuilds a matchable error from a failure response: every
-// remote error wraps ErrRemote, and responses carrying a wire code
-// additionally wrap the corresponding sentinel.
+// remoteError rebuilds a matchable error from a failure response: it
+// wraps ErrRemote and, when the code is in the errcode table, that
+// outcome's sentinel. The text is the server's message, once.
 func remoteError(resp *wire.Response) error {
-	switch resp.Code {
-	case wire.CodeLocked:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrLocked, resp.Err)
-	case wire.CodeNotLocked:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotLocked, resp.Err)
-	case wire.CodeConflict:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrConflict, resp.Err)
-	case wire.CodeOverloaded:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrOverloaded, resp.Err)
-	case wire.CodeShuttingDown:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrShuttingDown, resp.Err)
-	case wire.CodeNotPrimary:
-		return fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotPrimary, resp.Err)
+	return &serverError{msg: resp.Err, outcome: errcode.Lookup(resp.Code).Err}
+}
+
+type serverError struct {
+	msg     string
+	outcome error // nil for an uncoded failure or a code this build does not know
+}
+
+func (e *serverError) Error() string { return ErrRemote.Error() + ": " + e.msg }
+
+func (e *serverError) Unwrap() []error {
+	if e.outcome == nil {
+		return []error{ErrRemote}
 	}
-	return fmt.Errorf("%w: %s", ErrRemote, resp.Err)
+	return []error{ErrRemote, e.outcome}
 }
 
 // Get retrieves object subtrees by name (no locks).

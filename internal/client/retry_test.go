@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 )
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
@@ -17,7 +18,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 		func() error {
 			calls++
 			if calls < 3 {
-				return fmt.Errorf("wrapped: %w", client.ErrOverloaded)
+				return fmt.Errorf("wrapped: %w", errcode.ErrOverloaded)
 			}
 			return nil
 		})
@@ -45,11 +46,11 @@ func TestRetryExhaustionKeepsIdentity(t *testing.T) {
 	calls := 0
 	err := client.RetryWith(context.Background(),
 		client.RetryPolicy{Base: time.Microsecond, Cap: time.Microsecond, Attempts: 4},
-		func() error { calls++; return client.ErrLocked })
+		func() error { calls++; return errcode.ErrLocked })
 	if calls != 4 {
 		t.Errorf("calls = %d, want 4", calls)
 	}
-	if !errors.Is(err, client.ErrLocked) {
+	if !errors.Is(err, errcode.ErrLocked) {
 		t.Errorf("exhaustion error %v lost the sentinel identity", err)
 	}
 }
@@ -61,7 +62,7 @@ func TestRetryHonorsContext(t *testing.T) {
 	go func() {
 		done <- client.RetryWith(ctx,
 			client.RetryPolicy{Base: time.Hour, Cap: time.Hour, Attempts: 10},
-			func() error { calls++; return client.ErrConflict })
+			func() error { calls++; return errcode.ErrConflict })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
@@ -70,7 +71,7 @@ func TestRetryHonorsContext(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
-		if !errors.Is(err, client.ErrConflict) {
+		if !errors.Is(err, errcode.ErrConflict) {
 			t.Errorf("err = %v, should keep the last attempt's identity", err)
 		}
 	case <-time.After(5 * time.Second):
@@ -82,45 +83,29 @@ func TestRetryHonorsContext(t *testing.T) {
 }
 
 func TestRetryableClassification(t *testing.T) {
-	for _, err := range []error{client.ErrLocked, client.ErrConflict, client.ErrOverloaded} {
+	for _, err := range []error{errcode.ErrLocked, errcode.ErrConflict, errcode.ErrOverloaded} {
 		if !client.Retryable(fmt.Errorf("w: %w", err)) {
 			t.Errorf("Retryable(%v) = false", err)
 		}
 	}
-	for _, err := range []error{client.ErrShuttingDown, client.ErrNotLocked, client.ErrRemote, errors.New("x")} {
+	for _, err := range []error{errcode.ErrShuttingDown, errcode.ErrNotLocked, client.ErrRemote, errors.New("x")} {
 		if client.Retryable(err) {
 			t.Errorf("Retryable(%v) = true", err)
 		}
 	}
 }
 
-// TestClassifyTable pins the full failure taxonomy: transient pushback
-// retries in place, a draining or follower server demands a redial, and
-// everything the client cannot reason about is permanent.
+// TestClassifyTable pins the errors outside the outcome table: whatever
+// the client cannot reason about is permanent, wrapped or not. Every table
+// entry's class is checked end to end by the server package's
+// TestOutcomeTableRoundTrip.
 func TestClassifyTable(t *testing.T) {
-	cases := []struct {
-		err  error
-		want client.FailureClass
-	}{
-		{client.ErrLocked, client.ClassRetry},
-		{client.ErrConflict, client.ClassRetry},
-		{client.ErrOverloaded, client.ClassRetry},
-		{client.ErrShuttingDown, client.ClassRedial},
-		{client.ErrNotPrimary, client.ClassRedial},
-		{client.ErrNotLocked, client.ClassPermanent},
-		{client.ErrRemote, client.ClassPermanent},
-		{errors.New("transport: broken pipe"), client.ClassPermanent},
-		{nil, client.ClassPermanent},
-	}
-	for _, c := range cases {
-		if got := client.Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
+	for _, err := range []error{client.ErrRemote, errors.New("transport: broken pipe"), nil} {
+		if got := client.Classify(err); got != errcode.Permanent {
+			t.Errorf("Classify(%v) = %v, want permanent", err, got)
 		}
-		// Wrapping must not change the decision.
-		if c.err != nil {
-			if got := client.Classify(fmt.Errorf("w: %w", c.err)); got != c.want {
-				t.Errorf("Classify(wrapped %v) = %v, want %v", c.err, got, c.want)
-			}
+		if got := client.Classify(fmt.Errorf("w: %w", err)); got != errcode.Permanent {
+			t.Errorf("Classify(wrapped %v) = %v, want permanent", err, got)
 		}
 	}
 }
@@ -133,12 +118,12 @@ func TestRetryableWithRedial(t *testing.T) {
 		canRedial bool
 		want      bool
 	}{
-		{client.ErrOverloaded, false, true}, // in-place retry never needs a redial
-		{client.ErrOverloaded, true, true},
-		{client.ErrShuttingDown, false, false},
-		{client.ErrShuttingDown, true, true},
-		{client.ErrNotPrimary, false, false},
-		{client.ErrNotPrimary, true, true},
+		{errcode.ErrOverloaded, false, true}, // in-place retry never needs a redial
+		{errcode.ErrOverloaded, true, true},
+		{errcode.ErrShuttingDown, false, false},
+		{errcode.ErrShuttingDown, true, true},
+		{errcode.ErrNotPrimary, false, false},
+		{errcode.ErrNotPrimary, true, true},
 		{client.ErrRemote, true, false}, // permanent stays permanent with a dialer in hand
 	} {
 		if got := client.RetryableWith(fmt.Errorf("w: %w", c.err), c.canRedial); got != c.want {
@@ -146,7 +131,7 @@ func TestRetryableWithRedial(t *testing.T) {
 		}
 	}
 	// Retryable is RetryableWith pinned to one connection.
-	if client.Retryable(client.ErrNotPrimary) {
+	if client.Retryable(errcode.ErrNotPrimary) {
 		t.Error("Retryable(ErrNotPrimary) = true; a follower never becomes the primary on retry")
 	}
 }

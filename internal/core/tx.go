@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/errcode"
 	"repro/internal/item"
 )
 
@@ -29,9 +29,10 @@ import (
 // half-applied.
 
 // ErrTxConflict reports an overlap between concurrent transactions (or a
-// commit that landed after this transaction's base generation). It is
-// retryable: roll back, re-read, and re-stage.
-var ErrTxConflict = errors.New("core: conflicting concurrent transaction")
+// commit that landed after this transaction's base generation). It is the
+// errcode table's conflict outcome, retryable: roll back, re-read, and
+// re-stage.
+var ErrTxConflict = errcode.ErrConflict
 
 // Tx is one open transaction: a private undo log, the journal records
 // pending for commit, and the write set used for conflict detection. A Tx is

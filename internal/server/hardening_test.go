@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/seed"
@@ -88,7 +89,7 @@ func TestWriteTimeoutReleasesLocks(t *testing.T) {
 			return
 		}
 		c.Close()
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, errcode.ErrLocked) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -146,7 +147,7 @@ func TestAdmissionShedsOverload(t *testing.T) {
 				switch _, err := p.Await(); {
 				case err == nil:
 					okCount.Add(1)
-				case errors.Is(err, client.ErrOverloaded):
+				case errors.Is(err, errcode.ErrOverloaded):
 					if !client.Retryable(err) {
 						t.Error("overload rejection not classified retryable")
 					}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/wire"
 )
 
@@ -47,12 +48,16 @@ func (h *opHist) observe(d time.Duration) {
 	h.sumNs.Add(uint64(d))
 }
 
-// respCodes enumerates the response outcomes counted by seed_responses_total.
-// "ok" is a success, "error" an uncoded failure; the rest are the wire codes.
-var respCodes = [...]string{
-	"ok", "error", wire.CodeLocked, wire.CodeNotLocked, wire.CodeConflict,
-	wire.CodeOverloaded, wire.CodeShuttingDown, wire.CodeNotPrimary,
-}
+// respCodes enumerates the response outcomes counted by seed_responses_total:
+// "ok" is a success, "error" an uncoded failure, then every outcome code in
+// errcode table order.
+var respCodes = func() []string {
+	codes := []string{"ok", "error"}
+	for _, o := range errcode.Outcomes() {
+		codes = append(codes, o.Code)
+	}
+	return codes
+}()
 
 // metrics is the server's hot-path counter set. All fields are atomics (or
 // written once before serving starts), so handlers never contend on it.
@@ -72,7 +77,7 @@ func newMetrics() *metrics {
 	for _, op := range []wire.Op{
 		wire.OpHello, wire.OpGet, wire.OpList, wire.OpQuery, wire.OpCheckout,
 		wire.OpCheckin, wire.OpRelease, wire.OpSaveVersion, wire.OpVersions,
-		wire.OpCompleteness, wire.OpStats,
+		wire.OpCompleteness, wire.OpStats, wire.OpSubscribeLog,
 	} {
 		m.ops[op] = &opHist{}
 	}
@@ -84,28 +89,19 @@ func newMetrics() *metrics {
 
 // observe records one handled request: its latency under the operation's
 // histogram and its outcome under the response-code counter.
-func (m *metrics) observe(op wire.Op, code string, d time.Duration) {
+func (m *metrics) observe(op wire.Op, resp *wire.Response, d time.Duration) {
 	if h, ok := m.ops[op]; ok {
 		h.observe(d)
 	}
-	m.countCode(code)
+	m.count(resp)
 }
 
-// outcomeCode maps a response onto its counter label: the wire code when
-// one is set, "error" for uncoded failures, ok ("") otherwise.
-func outcomeCode(resp *wire.Response) string {
-	if resp.Code == "" && resp.Err != "" {
-		return "error"
-	}
-	return resp.Code
-}
-
-// countCode bumps the outcome counter for one response code ("" = ok).
-func (m *metrics) countCode(code string) {
-	switch code {
-	case "":
-		code = "ok"
-	default:
+// count bumps the outcome counter for one response: "ok" for a success,
+// its outcome code when it carries a known one, "error" otherwise.
+func (m *metrics) count(resp *wire.Response) {
+	code := "ok"
+	if resp.Err != "" {
+		code = resp.Code
 		if _, known := m.codes[code]; !known {
 			code = "error"
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/seed"
@@ -313,7 +314,7 @@ func TestIdleTimeoutReleasesLocks(t *testing.T) {
 			break
 		}
 		c.Close()
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, errcode.ErrLocked) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -432,7 +433,7 @@ func TestStalledClientReleasesLocks(t *testing.T) {
 			return
 		}
 		c.Close()
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, errcode.ErrLocked) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/item"
 	"repro/internal/server"
 	"repro/seed"
@@ -106,7 +107,7 @@ func runRandomCheckinStress(t *testing.T) {
 					}
 					ws, err := cl.Checkout(names...)
 					if err != nil {
-						if errors.Is(err, client.ErrLocked) {
+						if errors.Is(err, errcode.ErrLocked) {
 							lockConflicts.Add(1) // another client holds one; skip this round
 							continue
 						}
@@ -157,7 +158,7 @@ func runRandomCheckinStress(t *testing.T) {
 				case a < 7: // checkout then abandon: locks must come back
 					ws, err := cl.Checkout(rootNames[rng.Intn(rootCount)])
 					if err != nil {
-						if errors.Is(err, client.ErrLocked) {
+						if errors.Is(err, errcode.ErrLocked) {
 							lockConflicts.Add(1)
 							continue
 						}

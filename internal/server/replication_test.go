@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/wire"
 	"repro/seed"
 )
 
 // startPrimary opens a file-backed primary and serves it.
-func startPrimary(t *testing.T, opts seed.Options) (*seed.Database, string) {
+func startPrimary(t *testing.T, opts seed.Options) (*seed.Database, string, *Server) {
 	t.Helper()
 	if opts.Schema == nil {
 		opts.Schema = seed.Figure3Schema()
@@ -33,7 +34,7 @@ func startPrimary(t *testing.T, opts seed.Options) (*seed.Database, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return db, addr
+	return db, addr, srv
 }
 
 // startReplica runs a Follower against a primary address and waits for its
@@ -82,7 +83,7 @@ func awaitConvergence(t *testing.T, primary, replica *seed.Database, when string
 // surface from replica state, reports its position in stats, and refuses
 // every mutating op with the retryable not-primary code.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
-	primary, primaryAddr := startPrimary(t, seed.Options{})
+	primary, primaryAddr, psrv := startPrimary(t, seed.Options{})
 	alarms, err := primary.CreateObject("Data", "Alarms")
 	if err != nil {
 		t.Fatal(err)
@@ -106,6 +107,12 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	t.Cleanup(func() { fsrv.Close() })
 
 	awaitConvergence(t, primary, rep, "after bootstrap")
+	// The primary times the subscription it admitted.
+	var pmetrics strings.Builder
+	psrv.WriteMetrics(&pmetrics)
+	if n := metricValue(pmetrics.String(), `seed_op_duration_seconds_count{op="subscribe-log"}`); n < 1 {
+		t.Errorf("primary /metrics: subscribe-log latency count %v, want >= 1", n)
+	}
 
 	cli, err := client.Dial(faddr)
 	if err != nil {
@@ -135,17 +142,17 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	}
 
 	// Mutations are refused with the redial class.
-	if _, err := cli.Checkout("Alarms"); !errors.Is(err, client.ErrNotPrimary) {
+	if _, err := cli.Checkout("Alarms"); !errors.Is(err, errcode.ErrNotPrimary) {
 		t.Fatalf("Checkout on follower = %v, want ErrNotPrimary", err)
 	}
-	if _, err := cli.SaveVersion("nope"); !errors.Is(err, client.ErrNotPrimary) {
+	if _, err := cli.SaveVersion("nope"); !errors.Is(err, errcode.ErrNotPrimary) {
 		t.Fatalf("SaveVersion on follower = %v, want ErrNotPrimary", err)
 	}
 	err = cli.Release("Alarms")
-	if !errors.Is(err, client.ErrNotPrimary) {
+	if !errors.Is(err, errcode.ErrNotPrimary) {
 		t.Fatalf("Release on follower = %v, want ErrNotPrimary", err)
 	}
-	if client.Classify(err) != client.ClassRedial {
+	if client.Classify(err) != errcode.Redial {
 		t.Fatalf("not-primary must classify as redial, got %v", client.Classify(err))
 	}
 	// /metrics files each refusal under its own code, not as an uncoded error.
@@ -164,7 +171,7 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ls.Next(); !errors.Is(err, client.ErrNotPrimary) {
+	if _, err := ls.Next(); !errors.Is(err, errcode.ErrNotPrimary) {
 		t.Fatalf("SubscribeLog on follower = %v, want ErrNotPrimary", err)
 	}
 
@@ -186,7 +193,7 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 // the live-tap path and the reconnect-and-resync path.
 func TestReplicaDifferentialRandomized(t *testing.T) {
 	// Tiny segments so bootstrap and resync cross many segment boundaries.
-	primary, primaryAddr := startPrimary(t, seed.Options{SegmentSize: 512})
+	primary, primaryAddr, _ := startPrimary(t, seed.Options{SegmentSize: 512})
 	rep, fol := startReplica(t, primaryAddr)
 
 	rng := rand.New(rand.NewPCG(1986, 2))
@@ -253,7 +260,7 @@ func TestReplicaDifferentialRandomized(t *testing.T) {
 // time. Convergence with digest equality proves every cut point resyncs
 // cleanly: nothing lost, nothing applied twice.
 func TestFollowerCrashTruncationMatrix(t *testing.T) {
-	primary, primaryAddr := startPrimary(t, seed.Options{SegmentSize: 256})
+	primary, primaryAddr, _ := startPrimary(t, seed.Options{SegmentSize: 256})
 	// Enough pre-existing state for a multi-segment, multi-chunk bootstrap.
 	for i := 0; i < 12; i++ {
 		if _, err := primary.CreateObject("Data", fmt.Sprintf("Seed%02d", i)); err != nil {
@@ -317,7 +324,7 @@ func TestFollowerCrashTruncationMatrix(t *testing.T) {
 // observed lag is eventually reported and then returns to zero once the
 // burst stops.
 func TestFollowerLagReportsAndRecovers(t *testing.T) {
-	primary, primaryAddr := startPrimary(t, seed.Options{})
+	primary, primaryAddr, _ := startPrimary(t, seed.Options{})
 	rep, fol := startReplica(t, primaryAddr)
 
 	for i := 0; i < 50; i++ {

@@ -20,28 +20,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/item"
 	"repro/internal/wire"
 	"repro/seed"
-)
-
-// Server errors (returned to clients with a wire error code, so clients can
-// match them with errors.Is and retry lock conflicts).
-var (
-	ErrLocked    = errors.New("server: object is checked out by another client")
-	ErrNotLocked = errors.New("server: object is not checked out by this client")
-	ErrConflict  = errors.New("server: check-in conflicted with a concurrent check-in")
-	// ErrOverloaded is returned when admission control sheds a request:
-	// the global in-flight limit was reached and the bounded wait queue
-	// was full. Retryable with backoff (client.Retry does).
-	ErrOverloaded = errors.New("server: overloaded, request shed by admission control")
-	// ErrShuttingDown is returned to new mutations while the server drains
-	// for a graceful shutdown. Retryable against the server's replacement.
-	ErrShuttingDown = errors.New("server: shutting down, new mutations refused")
-	// ErrNotPrimary is returned to mutations addressed to a read-only
-	// follower. Retryable against the primary: the request was fine, it
-	// reached the wrong process.
-	ErrNotPrimary = errors.New("server: read-only follower, mutations go to the primary")
 )
 
 // Server serves one SEED database to many clients over wire protocol v2:
@@ -96,9 +78,10 @@ type Server struct {
 	replicaStatus func() (appliedGen, headGen, applied uint64)
 
 	// Lifecycle. draining flips when Shutdown begins: new mutations are
-	// refused with ErrShuttingDown while in-flight check-ins finish; ready
-	// mirrors it for the /readyz probe. stop is closed (once) when the
-	// server force-closes connections, unblocking admission waiters.
+	// refused with errcode.ErrShuttingDown while in-flight check-ins
+	// finish; ready mirrors it for the /readyz probe. stop is closed
+	// (once) when the server force-closes connections, unblocking
+	// admission waiters.
 	draining atomic.Bool
 	ready    atomic.Bool
 	stop     chan struct{}
@@ -141,7 +124,7 @@ func New(db *seed.Database) *Server {
 // SetAdmission configures overload protection: at most maxInflight
 // requests execute at once across all connections, up to queueDepth more
 // wait in FIFO order for a slot, and everything beyond that is shed
-// immediately with the retryable wire.CodeOverloaded. perConn bounds one
+// immediately with the retryable errcode.ErrOverloaded. perConn bounds one
 // connection's concurrently dispatched requests (0 keeps the default);
 // unlike the global limit it never sheds — the connection's reader simply
 // stops pulling frames, which backpressures the client through the TCP
@@ -208,7 +191,7 @@ func (s *Server) Close() error {
 
 // Shutdown drains the server gracefully: the listener closes (no new
 // connections), the readiness probe flips to not-ready, new mutations are
-// refused with the retryable wire.CodeShuttingDown while in-flight
+// refused with the retryable errcode.ErrShuttingDown while in-flight
 // mutating requests — crucially, staged check-ins — run to group-commit
 // durability, the write-ahead log's tail segment is sealed, and only then
 // are the remaining connections closed. The drain wait is bounded by ctx:
@@ -452,13 +435,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		if req.Op != wire.OpHello {
 			rel, ok, shed := s.adm.acquire(s.stop)
 			if shed {
-				s.met.countCode(wire.CodeOverloaded)
 				running, queued := s.adm.gauges()
-				writeCh <- &wire.Response{
-					Seq:  req.Seq,
-					Err:  fmt.Sprintf("%v (%d in flight, %d queued)", ErrOverloaded, running, queued),
-					Code: wire.CodeOverloaded,
-				}
+				resp := fail(fmt.Errorf("%w (%d in flight, %d queued)", errcode.ErrOverloaded, running, queued))
+				resp.Seq = req.Seq
+				s.met.count(resp)
+				writeCh <- resp
 				continue
 			}
 			if !ok {
@@ -537,7 +518,7 @@ func (s *Server) run(clientID string, req *wire.Request, release func(), writeCh
 	start := time.Now()
 	resp := s.handle(clientID, req)
 	resp.Seq = req.Seq
-	s.met.observe(req.Op, outcomeCode(resp), time.Since(start))
+	s.met.observe(req.Op, resp, time.Since(start))
 	if release != nil {
 		release()
 	}
@@ -635,10 +616,10 @@ func (s *Server) releaseAll(clientID string) {
 
 func (s *Server) handle(clientID string, req *wire.Request) *wire.Response {
 	if s.draining.Load() && refusedWhileDraining(req.Op) {
-		return fail(ErrShuttingDown)
+		return fail(errcode.ErrShuttingDown)
 	}
 	if s.follower && refusedOnFollower(req.Op) {
-		return fail(ErrNotPrimary)
+		return fail(errcode.ErrNotPrimary)
 	}
 	switch req.Op {
 	case wire.OpHello:
@@ -749,29 +730,10 @@ func (s *Server) handle(clientID string, req *wire.Request) *wire.Response {
 	return fail(fmt.Errorf("server: unknown op %q", req.Op))
 }
 
-// fail converts an error into a response, preserving the error's identity
-// as a wire code where one is defined.
+// fail converts an error into a response, carrying the error's outcome
+// code when it wraps one of the errcode table's sentinels.
 func fail(err error) *wire.Response {
-	return &wire.Response{Err: err.Error(), Code: codeOf(err)}
-}
-
-// codeOf maps server errors onto wire error codes.
-func codeOf(err error) string {
-	switch {
-	case errors.Is(err, ErrLocked):
-		return wire.CodeLocked
-	case errors.Is(err, ErrNotLocked):
-		return wire.CodeNotLocked
-	case errors.Is(err, ErrConflict), errors.Is(err, seed.ErrTxConflict):
-		return wire.CodeConflict
-	case errors.Is(err, ErrOverloaded):
-		return wire.CodeOverloaded
-	case errors.Is(err, ErrShuttingDown):
-		return wire.CodeShuttingDown
-	case errors.Is(err, ErrNotPrimary), errors.Is(err, seed.ErrNotPrimary):
-		return wire.CodeNotPrimary
-	}
-	return ""
+	return &wire.Response{Err: err.Error(), Code: errcode.Of(err).Code}
 }
 
 func (s *Server) handleGet(req *wire.Request) *wire.Response {
@@ -910,7 +872,7 @@ func (s *Server) handleCheckout(clientID string, req *wire.Request) *wire.Respon
 	for _, name := range req.Names {
 		if owner, locked := s.locks[name]; locked && owner != clientID {
 			s.mu.Unlock()
-			return fail(fmt.Errorf("%w: %q held by %s", ErrLocked, name, owner))
+			return fail(fmt.Errorf("%w: %q held by %s", errcode.ErrLocked, name, owner))
 		}
 	}
 	var acquired []string
@@ -986,7 +948,7 @@ func (s *Server) handleCheckin(clientID string, req *wire.Request) *wire.Respons
 	for _, root := range roots {
 		if owner, locked := s.locks[root]; !locked || owner != clientID {
 			s.mu.Unlock()
-			return fail(fmt.Errorf("%w: %q", ErrNotLocked, root))
+			return fail(fmt.Errorf("%w: %q", errcode.ErrNotLocked, root))
 		}
 	}
 	var reserved []string
@@ -994,12 +956,12 @@ func (s *Server) handleCheckin(clientID string, req *wire.Request) *wire.Respons
 		if owner, locked := s.locks[name]; locked && owner != clientID {
 			s.mu.Unlock()
 			s.unreserve(reserved)
-			return fail(fmt.Errorf("%w: cannot create %q", ErrLocked, name))
+			return fail(fmt.Errorf("%w: cannot create %q", errcode.ErrLocked, name))
 		}
 		if other, busy := s.creating[name]; busy && other != clientID {
 			s.mu.Unlock()
 			s.unreserve(reserved)
-			return fail(fmt.Errorf("%w: %q is being created by %s", ErrConflict, name, other))
+			return fail(fmt.Errorf("%w: %q is being created by %s", errcode.ErrConflict, name, other))
 		}
 		s.creating[name] = clientID
 		reserved = append(reserved, name)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/errcode"
 	"repro/internal/server"
 	"repro/seed"
 )
@@ -194,7 +195,7 @@ func TestDisconnectReleasesLocks(t *testing.T) {
 		if err == nil {
 			return
 		}
-		if !errors.Is(err, client.ErrLocked) {
+		if !errors.Is(err, errcode.ErrLocked) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

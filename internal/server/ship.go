@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -48,20 +49,20 @@ func (s *Server) startPublisher(req *wire.Request, writeCh chan<- *wire.Response
 	start := time.Now()
 	refuse := func(err error) *wire.Response {
 		resp := fail(err)
-		s.met.observe(wire.OpSubscribeLog, outcomeCode(resp), time.Since(start))
+		s.met.observe(wire.OpSubscribeLog, resp, time.Since(start))
 		return resp
 	}
 	if s.draining.Load() {
-		return refuse(ErrShuttingDown)
+		return refuse(errcode.ErrShuttingDown)
 	}
 	if s.follower {
-		return refuse(ErrNotPrimary)
+		return refuse(errcode.ErrNotPrimary)
 	}
 	sub, cutGen, err := s.db.SubscribeLog()
 	if err != nil {
 		return refuse(err)
 	}
-	s.met.observe(wire.OpSubscribeLog, "", time.Since(start))
+	s.met.observe(wire.OpSubscribeLog, &wire.Response{}, time.Since(start))
 	handlers.Add(1)
 	go func() {
 		defer handlers.Done()

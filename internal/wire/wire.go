@@ -249,36 +249,6 @@ type Finding struct {
 	Detail string `json:"detail"`
 }
 
-// Error codes carried in Response.Code. A plain error string loses its
-// identity across the wire; the code preserves it, so clients can rebuild
-// a matchable sentinel (errors.Is) and, for lock conflicts, retry.
-const (
-	// CodeLocked: a checkout or check-in lost against another client's
-	// write lock. Retryable once that client checks in or releases.
-	CodeLocked = "locked"
-	// CodeNotLocked: a check-in touched an object the client never
-	// checked out. Not retryable — the client must check the object out.
-	CodeNotLocked = "not-locked"
-	// CodeConflict: two concurrently staged check-ins overlapped (for
-	// example both creating the same object name, or a batch reaching
-	// outside its lock set into another batch's write set). Retryable:
-	// re-read and re-stage the batch.
-	CodeConflict = "conflict"
-	// CodeOverloaded: the server's admission control shed the request —
-	// the global in-flight limit was reached and the bounded wait queue
-	// was full. Retryable with backoff: nothing about the request was
-	// wrong, the server just had no capacity for it right now.
-	CodeOverloaded = "overloaded"
-	// CodeShuttingDown: the server is draining (graceful shutdown) and
-	// refuses new mutations while in-flight check-ins finish. Retryable
-	// against the server's replacement once it is back.
-	CodeShuttingDown = "shutting-down"
-	// CodeNotPrimary: the server is a read-only follower and refuses
-	// mutations (and lock traffic) outright. Retryable against the primary:
-	// the request was well-formed, it just reached the wrong process.
-	CodeNotPrimary = "not-primary"
-)
-
 // Request is one client request frame. Seq correlates the request with its
 // response under protocol v2: a nonzero Seq is echoed in the response and
 // allows the server to answer retrieval requests out of order; Seq zero
@@ -301,7 +271,7 @@ type Response struct {
 	Seq       uint64        `json:"seq,omitempty"`
 	Proto     int           `json:"proto,omitempty"` // hello only
 	Err       string        `json:"err,omitempty"`
-	Code      string        `json:"code,omitempty"` // error code (CodeLocked, ...)
+	Code      string        `json:"code,omitempty"` // outcome code from the errcode table ("" = none)
 	ClientID  string        `json:"client,omitempty"`
 	Names     []string      `json:"names,omitempty"`
 	Snapshots []Snapshot    `json:"snapshots,omitempty"`

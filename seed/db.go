@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/core"
+	"repro/internal/errcode"
 	"repro/internal/pattern"
 	"repro/internal/schema"
 	"repro/internal/sdl"
@@ -33,8 +34,9 @@ var (
 	// overlap (or that a commit landed under an open transaction's feet).
 	// It is retryable: roll back, re-read, and re-stage. The server's
 	// check-out locks keep disjoint check-ins conflict-free; this surfaces
-	// only for genuinely overlapping write sets.
-	ErrTxConflict = core.ErrTxConflict
+	// only for genuinely overlapping write sets. It is the errcode table's
+	// conflict outcome, so the server sends it with the conflict code.
+	ErrTxConflict = errcode.ErrConflict
 	// ErrTxDone rejects operations on a transaction handle that was
 	// already committed or rolled back.
 	ErrTxDone = errors.New("seed: transaction already committed or rolled back")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/errcode"
 	"repro/internal/storage"
 	"repro/internal/version"
 )
@@ -24,7 +25,8 @@ var (
 	// ErrNotPrimary rejects mutations (and primary-only operations)
 	// addressed to a read-only follower. Retryable against the primary:
 	// nothing about the request was wrong, it reached the wrong process.
-	ErrNotPrimary = errors.New("seed: read-only follower, mutate on the primary")
+	// It is the errcode table's not-primary outcome.
+	ErrNotPrimary = errcode.ErrNotPrimary
 	// ErrNotReplica rejects replication-apply calls on a primary database.
 	ErrNotReplica = errors.New("seed: not a follower database")
 	// ErrNoLog rejects SubscribeLog on an in-memory database: with no
